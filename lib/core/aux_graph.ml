@@ -232,12 +232,15 @@ module Lazy = struct
   open Tmedb_prelude
 
   (* Memoised per-(node, point) transmission block: the DCS marginals
-     of one wait vertex, reshaped for O(1) level access and O(log d)
-     neighbour-to-level lookup. *)
+     of one wait vertex, reshaped for O(1) level access.  The
+     neighbour-to-level index only serves reverse queries, so it is
+     built by the first one (forward-only scans never pay for it). *)
   type block = {
     costs : float array;  (* cumulative clamped level costs, ascending *)
     fresh : int array array;  (* newly covered neighbours per level, ascending *)
-    level_of : (int * int) array;  (* (neighbour, level), sorted by neighbour *)
+    mutable level_of : int array option;
+        (* [j * nlev + k] for each neighbour j first covered at level k,
+           ascending: ordered by neighbour, the level in the residue *)
   }
 
   type t = {
@@ -247,6 +250,9 @@ module Lazy = struct
     base : int array;  (* wait-vertex base id per node *)
     total_wait : int;
     level_off : int array;  (* per-block level-id prefix, length total_wait+1 *)
+    first_cost : float array;
+        (* per block, its first level's cost (the wait -> level-0 edge),
+           recorded by the sizing pass so no block is built to read it *)
     nv : int;
     edge_bound : int;  (* edges the eager build would emit, at most *)
     source_vertex : int;
@@ -294,17 +300,19 @@ module Lazy = struct
     done;
     let total_wait = !total_wait in
     let level_off = Array.make (total_wait + 1) 0 in
+    let first_cost = Array.make total_wait 0. in
     let edge_bound = ref 0 in
     for i = 0 to n - 1 do
       let pts = Dts.node_points dts i in
       Array.iteri
         (fun l t ->
           let bid = base.(i) + l in
-          let nlev, cov =
-            if t +. tau <= deadline then
-              Dcs.level_stats (Dcs.marginals_at g ~phy ~channel ~node:i ~time:t)
-            else (0, 0)
+          let margs =
+            if t +. tau <= deadline then Dcs.marginals_at g ~phy ~channel ~node:i ~time:t
+            else []
           in
+          let nlev, cov = Dcs.level_stats margs in
+          (match margs with m :: _ -> first_cost.(bid) <- m.Dcs.cost | [] -> ());
           level_off.(bid + 1) <- level_off.(bid) + nlev;
           edge_bound := !edge_bound + nlev + cov;
           if l + 1 < Array.length pts then incr edge_bound)
@@ -318,6 +326,7 @@ module Lazy = struct
       base;
       total_wait;
       level_off;
+      first_cost;
       nv;
       edge_bound = !edge_bound;
       source_vertex = base.(problem.Problem.source);
@@ -345,12 +354,25 @@ module Lazy = struct
   (* Same graph as [create], but the id layout arrives precomputed (a
      shared {!Solve_state} assembles it by offset arithmetic over the
      memoised per-block level counts) and the DCS marginals come from
-     the given provider: no block is enumerated at creation time. *)
-  let create_with ~marginals ~base ~level_off ~edge_bound (problem : Problem.t) dts =
+     the given provider: no block is built at creation time, and the
+     first-level costs are read off the provider's (memoised) lists. *)
+  let create_with ~(marginals : node:int -> time:float -> Dcs.marginal list) ~base ~level_off
+      ~edge_bound (problem : Problem.t) dts =
     with_create_telemetry @@ fun () ->
     let n = Tveg.n problem.Problem.graph in
     let total_wait = base.(n - 1) + Array.length (Dts.node_points dts (n - 1)) in
     let nv = total_wait + level_off.(total_wait) in
+    let first_cost = Array.make total_wait 0. in
+    for i = 0 to n - 1 do
+      Array.iteri
+        (fun l time ->
+          let bid = base.(i) + l in
+          if level_off.(bid + 1) > level_off.(bid) then
+            match marginals ~node:i ~time with
+            | m :: _ -> first_cost.(bid) <- m.Dcs.cost
+            | [] -> ())
+        (Dts.node_points dts i)
+    done;
     {
       problem;
       dts;
@@ -358,6 +380,7 @@ module Lazy = struct
       base;
       total_wait;
       level_off;
+      first_cost;
       nv;
       edge_bound;
       source_vertex = base.(problem.Problem.source);
@@ -401,7 +424,7 @@ module Lazy = struct
     | None ->
         let nlev = t.level_off.(bid + 1) - t.level_off.(bid) in
         let b =
-          if nlev = 0 then { costs = [||]; fresh = [||]; level_of = [||] }
+          if nlev = 0 then { costs = [||]; fresh = [||]; level_of = None }
           else begin
             let node = node_of_wait t bid in
             let l = bid - t.base.(node) in
@@ -415,29 +438,40 @@ module Lazy = struct
                 costs.(k) <- cost;
                 fresh.(k) <- Array.of_list fr)
               margs;
-            let pairs = ref [] in
-            Array.iteri
-              (fun k fr -> Array.iter (fun j -> pairs := (j, k) :: !pairs) fr)
-              fresh;
-            let level_of = Array.of_list !pairs in
-            Array.sort (fun (a, _) (b, _) -> Int.compare a b) level_of;
-            { costs; fresh; level_of }
+            { costs; fresh; level_of = None }
           end
         in
         Hashtbl.replace t.blocks bid b;
         b
 
+  let level_index b =
+    match b.level_of with
+    | Some idx -> idx
+    | None ->
+        let nlev = Array.length b.fresh in
+        let keys = ref [] in
+        Array.iteri (fun k fr -> Array.iter (fun j -> keys := ((j * nlev) + k) :: !keys) fr) b.fresh;
+        let idx = Array.of_list !keys in
+        Array.sort Int.compare idx;
+        b.level_of <- Some idx;
+        idx
+
+  (* Level first covering neighbour [j]: the key in [j * nlev, (j + 1)
+     * nlev), if any. *)
   let level_of_neighbour b j =
-    let arr = b.level_of in
+    let nlev = Array.length b.fresh in
+    let idx = level_index b in
     let rec go lo hi =
       if lo > hi then None
       else begin
         let mid = (lo + hi) / 2 in
-        let nj, k = arr.(mid) in
-        if nj = j then Some k else if nj < j then go (mid + 1) hi else go lo (mid - 1)
+        let nj = idx.(mid) / nlev in
+        if nj = j then Some (idx.(mid) - (j * nlev))
+        else if nj < j then go (mid + 1) hi
+        else go lo (mid - 1)
       end
     in
-    go 0 (Array.length arr - 1)
+    go 0 (Array.length idx - 1)
 
   (* First successor generation of a vertex in a given direction:
      record it, bump the materialisation counters on first touch in
@@ -468,10 +502,8 @@ module Lazy = struct
       let node = node_of_wait t u in
       let l = u - t.base.(node) in
       let pts = Dts.node_points t.dts node in
-      if t.level_off.(u + 1) - t.level_off.(u) > 0 then begin
-        let b = block t u in
-        f (t.total_wait + t.level_off.(u)) b.costs.(0)
-      end;
+      if t.level_off.(u + 1) - t.level_off.(u) > 0 then
+        f (t.total_wait + t.level_off.(u)) t.first_cost.(u);
       if l + 1 < Array.length pts then f (u + 1) 0.
     end
     else begin
@@ -546,7 +578,7 @@ module Lazy = struct
           end
         in
         for l = hi_l downto lo_l do
-          match Tveg.dist_at g i j pts_i.(l) with
+          match Tveg.nth_dist_at g j idx pts_i.(l) with
           | Some dist
             when Dcs.neighbour_cost ~phy ~channel ~dist <= phy.Tmedb_channel.Phy.w_max -> (
               let bid = t.base.(i) + l in
@@ -561,8 +593,11 @@ module Lazy = struct
     end
     else begin
       let bid, k = locate_level t v in
-      let b = block t bid in
-      if k = 0 then f bid b.costs.(0) else f (v - 1) (b.costs.(k) -. b.costs.(k - 1))
+      if k = 0 then f bid t.first_cost.(bid)
+      else begin
+        let b = block t bid in
+        f (v - 1) (b.costs.(k) -. b.costs.(k - 1))
+      end
     end
 
   let view t = { Digraph.nv = t.nv; iter_succ = (fun u f -> iter_fwd t u f) }

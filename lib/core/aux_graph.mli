@@ -97,7 +97,8 @@ module Lazy : sig
     Tmedb_tveg.Dts.t ->
     t
   (** {!create} with the id layout supplied instead of counted: no DCS
-      block is enumerated at creation time.  [base]/[level_off]/
+      block is built at creation time (one [marginals] call per
+      non-empty block reads its first-level cost).  [base]/[level_off]/
       [edge_bound] must be exactly what the counting pass would have
       produced for this (problem, dts) — a shared [Solve_state]
       assembles them by offset arithmetic — and [marginals] must
@@ -108,15 +109,19 @@ module Lazy : sig
 
   val view : t -> Digraph.view
   (** Forward successor view, adjacency order identical to the eager
-      CSR graph's.  First enumeration of a vertex materialises its DCS
-      block (memoised) and bumps the materialisation counters. *)
+      CSR graph's.  First enumeration of a vertex bumps the
+      materialisation counters; a level vertex also materialises its
+      DCS block (memoised), a wait vertex reads the first-level cost
+      the sizing pass recorded. *)
 
   val rev_view : t -> Digraph.view
   (** Reverse (predecessor) view, adjacency order identical to
       [Digraph.view (Digraph.reverse eager.graph)]: sources in
       descending id.  Wait-vertex predecessors are found by a
       receive-window search over each TVEG neighbour's DTS points —
-      O(deg · log L) per wait vertex, independent of graph size. *)
+      O(deg · log L) per wait vertex, independent of graph size.  A
+      block's neighbour-to-level index is built by its first reverse
+      query. *)
 
   val describe : t -> int -> vertex
   (** Vertex id → description (the lazy analogue of the eager

@@ -24,13 +24,17 @@ let neighbour_cost ~phy ~channel ~dist =
 
 let marginals_at g ~phy ~channel ~node ~time =
   Tmedb_obs.Counter.incr c_queries;
-  let neighbours = Tveg.neighbors_at g node time in
+  let costed = ref [] in
+  Tveg.iter_neighbors_at g node time (fun j dist ->
+      let w = neighbour_cost ~phy ~channel ~dist in
+      if w <= phy.Phy.w_max then costed := (w, j) :: !costed);
+  (* The (cost, id) order is total, so the visiting order is moot. *)
   let costed =
-    List.map (fun (j, dist) -> (neighbour_cost ~phy ~channel ~dist, j)) neighbours
-    |> List.filter (fun (w, _) -> w <= phy.Phy.w_max)
-    |> List.sort (fun (wa, ja) (wb, jb) ->
-           let c = Float.compare wa wb in
-           if c <> 0 then c else Int.compare ja jb)
+    List.sort
+      (fun (wa, ja) (wb, jb) ->
+        let c = Float.compare wa wb in
+        if c <> 0 then c else Int.compare ja jb)
+      !costed
   in
   (* Level k covers the k cheapest neighbours; equal costs merge into
      one level.  Only the level's *new* neighbours are materialised —

@@ -46,21 +46,32 @@ let compute ?(cap_per_node = 4000) ?source g ~deadline =
        so receive times are always points of the receiver. *)
     let queue = Queue.create () in
     Array.iteri (fun i set -> FloatSet.iter (fun p -> Queue.add (0, i, p) queue) set) sets;
+    let sizes = Array.map FloatSet.cardinal sets in
     let truncated = ref false in
     while not (Queue.is_empty queue) do
       let depth, i, p = Queue.pop queue in
-      if depth < n - 1 then
-        List.iter
-          (fun (j, _dist) ->
-            let p' = p +. tau in
-            if p' <= deadline && p' >= min_time.(j) && not (FloatSet.mem p' sets.(j)) then begin
-              if FloatSet.cardinal sets.(j) < cap_per_node then begin
-                sets.(j) <- FloatSet.add p' sets.(j);
-                Queue.add (depth + 1, j, p') queue
-              end
-              else truncated := true
-            end)
-          (Tveg.neighbors_at g i p)
+      let p' = p +. tau in
+      if depth < n - 1 && p' <= deadline then begin
+        let nbrs = Tveg.neighbor_ids g i in
+        for k = 0 to Array.length nbrs - 1 do
+          let j = nbrs.(k) in
+          (* Once the cap has bitten, a full neighbour could only set
+             [truncated] again: skip it before its contact lookup. *)
+          if
+            p' >= min_time.(j)
+            && (not (!truncated && sizes.(j) >= cap_per_node))
+            && Option.is_some (Tveg.nth_dist_at g i k p)
+            && not (FloatSet.mem p' sets.(j))
+          then begin
+            if sizes.(j) < cap_per_node then begin
+              sets.(j) <- FloatSet.add p' sets.(j);
+              sizes.(j) <- sizes.(j) + 1;
+              Queue.add (depth + 1, j, p') queue
+            end
+            else truncated := true
+          end
+        done
+      end
     done;
     if !truncated then
       Log.warn (fun m -> m "DTS propagation truncated at %d points per node" cap_per_node)
@@ -239,8 +250,7 @@ module Stream = struct
         if d < s.n - 1 then
           List.iter
             (fun i ->
-              List.iter
-                (fun (j, _dist) ->
+              Tveg.iter_neighbors_at s.g i t (fun j _dist ->
                   if
                     t >= s.min_time.(j)
                     && (not (has_point s j t))
@@ -250,8 +260,7 @@ module Stream = struct
                     s.depth_of.(j) <- d + 1;
                     touched := j :: !touched;
                     s.frontier.(d + 1) <- j :: s.frontier.(d + 1)
-                  end)
-                (Tveg.neighbors_at s.g i t))
+                  end))
             layer
       done
     end
@@ -281,12 +290,10 @@ module Stream = struct
         (fun j ->
           let d = s.depth_of.(j) in
           if (has_point s j t || add_closure s j t) && d < s.n - 1 then
-            List.iter
-              (fun (k, _dist) ->
+            Tveg.iter_neighbors_at s.g j t (fun k _dist ->
                 let p' = t +. s.tau in
                 if p' < s.span.Interval.hi && p' >= s.min_time.(k) then
-                  Queue.add (p', k, d + 1) s.arrivals)
-              (Tveg.neighbors_at s.g j t))
+                  Queue.add (p', k, d + 1) s.arrivals))
         (List.sort Int.compare !touched)
     end;
     List.iter (fun i -> s.depth_of.(i) <- -1) !touched

@@ -11,21 +11,19 @@ type channel = [ `Static | `Rayleigh | `Nakagami of float | `Lognormal of float 
    algebra and the earliest-arrival scan. *)
 type pair = { segs : link array; prefmax : float array; presence : Interval_set.t }
 
-(* Sparse storage: only pairs with at least one contact exist, keyed
-   by [i * n + j] (i < j), plus sorted per-node adjacency.  The dense
-   triangular array this replaces was O(N^2) in memory and made every
-   all-neighbours loop O(N) regardless of degree. *)
+(* Sparse storage: only pairs with at least one contact exist.
+   [adj.(i)] lists node i's contact partners ascending and
+   [pairs.(i).(k)] is the history shared with [adj.(i).(k)] (the same
+   physical record from both endpoints), so an all-neighbours loop
+   reads its pairs in order and a single pair is a binary search of
+   [adj.(i)]. *)
 type t = {
   n : int;
   span : Interval.t;
   tau : float;
-  pairs : (int, pair) Hashtbl.t;
   adj : int array array;
+  pairs : pair array array;
 }
-
-let pair_key t i j =
-  let i, j = if i < j then (i, j) else (j, i) in
-  (i * t.n) + j
 
 let check_pair_n n i j op =
   if i < 0 || j < 0 || i >= n || j >= n then
@@ -47,43 +45,58 @@ let make_pair segs_list =
   let presence = Interval_set.of_list (List.map (fun s -> s.iv) segs_list) in
   { segs; prefmax; presence }
 
-let finish_adj deg =
-  Array.map
-    (fun l ->
-      let a = Array.of_list l in
-      Array.sort Int.compare a;
-      a)
-    deg
+(* Assemble the aligned store from [(i, j, pair)] with i < j, each
+   unordered pair at most once. *)
+let of_pairs ~n ~span ~tau entries =
+  let deg = Array.make n [] in
+  List.iter
+    (fun (i, j, p) ->
+      deg.(i) <- (j, p) :: deg.(i);
+      deg.(j) <- (i, p) :: deg.(j))
+    entries;
+  let rows =
+    Array.map
+      (fun l ->
+        let a = Array.of_list l in
+        Array.sort (fun (a, _) (b, _) -> Int.compare a b) a;
+        a)
+      deg
+  in
+  { n; span; tau; adj = Array.map (Array.map fst) rows; pairs = Array.map (Array.map snd) rows }
 
 let create ~n ~span ~tau entries =
   if n <= 0 then invalid_arg "Tveg.create: n <= 0";
   if tau < 0. then invalid_arg "Tveg.create: negative tau";
-  let tbl = Hashtbl.create 256 in
-  let keys = ref [] in
+  (* Bucket every link under its pair's lower endpoint, newest entry
+     first. *)
+  let lower = Array.make n [] in
   List.iter
     (fun (i, j, link) ->
       check_pair_n n i j "create";
       if not (Interval.contains span link.iv) then
         invalid_arg "Tveg.create: link outside the span";
       if link.dist <= 0. then invalid_arg "Tveg.create: non-positive distance";
-      let i', j' = if i < j then (i, j) else (j, i) in
-      let k = (i' * n) + j' in
-      match Hashtbl.find_opt tbl k with
-      | None ->
-          keys := k :: !keys;
-          Hashtbl.replace tbl k [ link ]
-      | Some ls -> Hashtbl.replace tbl k (link :: ls))
+      if i < j then lower.(i) <- (j, link) :: lower.(i)
+      else lower.(j) <- (i, link) :: lower.(j))
     entries;
-  let pairs = Hashtbl.create (List.length !keys) in
-  let deg = Array.make n [] in
-  List.iter
-    (fun k ->
-      let i = k / n and j = k mod n in
-      Hashtbl.replace pairs k (make_pair (sort_links (Hashtbl.find tbl k)));
-      deg.(i) <- j :: deg.(i);
-      deg.(j) <- i :: deg.(j))
-    !keys;
-  { n; span; tau; pairs; adj = finish_adj deg }
+  (* Split each bucket by upper endpoint, keeping each pair's links
+     newest first: the stable start-time sort preserves that order
+     among equal segments, and it decides which one covers. *)
+  let links = Array.make n [] in
+  let pairs = ref [] in
+  Array.iteri
+    (fun i row ->
+      List.iter (fun (j, l) -> links.(j) <- l :: links.(j)) (List.rev row);
+      List.iter
+        (fun (j, _) ->
+          match links.(j) with
+          | [] -> ()
+          | ls ->
+              pairs := (i, j, make_pair (sort_links ls)) :: !pairs;
+              links.(j) <- [])
+        row)
+    lower;
+  of_pairs ~n ~span ~tau !pairs
 
 let of_trace ~tau trace =
   let open Tmedb_trace in
@@ -97,7 +110,21 @@ let of_trace ~tau trace =
 let n t = t.n
 let span t = t.span
 let tau t = t.tau
-let find_pair t i j = Hashtbl.find_opt t.pairs (pair_key t i j)
+
+(* The pair stored beside [j] in node [i]'s row: a binary search of
+   the sorted [adj.(i)]. *)
+let find_pair t i j =
+  let a = t.adj.(i) in
+  let rec go lo hi =
+    if lo > hi then None
+    else begin
+      let mid = (lo + hi) / 2 in
+      if a.(mid) = j then Some t.pairs.(i).(mid)
+      else if a.(mid) < j then go (mid + 1) hi
+      else go lo (mid - 1)
+    end
+  in
+  go 0 (Array.length a - 1)
 
 let links t i j =
   if i = j then []
@@ -117,34 +144,44 @@ let presence t i j =
     match find_pair t i j with None -> Interval_set.empty | Some p -> p.presence
   end
 
-(* First covering segment in segment-start order, as the dense
-   representation's [List.find_opt] returned.  Binary-search the
-   rightmost segment starting at or before [time], then scan left
-   while the prefix could still contain a cover (prefmax > time),
-   keeping the lowest-index hit. *)
-let covering_seg p time =
+(* Index of the first covering segment in segment-start order (as
+   the dense representation's [List.find_opt] returned), or -1.
+   Binary-search the rightmost segment starting at or before [time],
+   then scan left while the prefix could still contain a cover
+   (prefmax > time), keeping the lowest-index hit. *)
+let covering_idx p time =
   let len = Array.length p.segs in
-  if len = 0 || time < p.segs.(0).iv.Interval.lo then None
+  if len = 0 || time < p.segs.(0).iv.Interval.lo then -1
   else begin
     let lo = ref 0 and hi = ref len in
     while !hi - !lo > 1 do
       let mid = (!lo + !hi) / 2 in
       if p.segs.(mid).iv.Interval.lo <= time then lo := mid else hi := mid
     done;
-    let best = ref None in
+    let best = ref (-1) in
     let k = ref !lo and scanning = ref true in
     while !scanning do
-      if Interval.mem p.segs.(!k).iv time then best := Some p.segs.(!k);
+      if Interval.mem p.segs.(!k).iv time then best := !k;
       if !k = 0 || p.prefmax.(!k - 1) <= time then scanning := false else decr k
     done;
     !best
   end
 
+(* The covering segment when a transmission started at [time] also
+   completes on it (ρ_τ), or -1. *)
+let live_idx t p time =
+  let k = covering_idx p time in
+  if k >= 0 && time +. t.tau < p.segs.(k).iv.Interval.hi then k else -1
+
 let covering_link t i j time =
   if i = j then None
   else begin
     check_pair t i j "covering_link";
-    match find_pair t i j with None -> None | Some p -> covering_seg p time
+    match find_pair t i j with
+    | None -> None
+    | Some p ->
+        let k = covering_idx p time in
+        if k < 0 then None else Some p.segs.(k)
   end
 
 let rho_tau t i j time =
@@ -163,14 +200,23 @@ let ed_at t ~phy ~channel i j time =
   | None -> Ed_function.Absent
   | Some dist -> Ed_function.of_distance phy channel ~dist
 
+let iter_neighbors_at t i time f =
+  let adj = t.adj.(i) and pairs = t.pairs.(i) in
+  for k = 0 to Array.length adj - 1 do
+    let p = pairs.(k) in
+    let s = live_idx t p time in
+    if s >= 0 then f adj.(k) p.segs.(s).dist
+  done
+
 let neighbors_at t i time =
   let acc = ref [] in
-  let adj = t.adj.(i) in
-  for k = Array.length adj - 1 downto 0 do
-    let j = adj.(k) in
-    match dist_at t i j time with Some d -> acc := (j, d) :: !acc | None -> ()
-  done;
-  !acc
+  iter_neighbors_at t i time (fun j d -> acc := (j, d) :: !acc);
+  List.rev !acc
+
+let nth_dist_at t i k time =
+  let p = t.pairs.(i).(k) in
+  let s = live_idx t p time in
+  if s < 0 then None else Some p.segs.(s).dist
 
 let to_tvg t =
   let g = ref (Tmedb_tvg.Tvg.create ~n:t.n ~span:t.span) in
@@ -186,11 +232,9 @@ let to_tvg t =
 let adjacent_partition t i =
   let pts = ref [] in
   Array.iter
-    (fun j ->
-      List.iter
-        (fun l -> pts := l.iv.Interval.lo :: l.iv.Interval.hi :: !pts)
-        (links t i j))
-    t.adj.(i);
+    (fun p ->
+      Array.iter (fun l -> pts := l.iv.Interval.lo :: l.iv.Interval.hi :: !pts) p.segs)
+    t.pairs.(i);
   Tmedb_tvg.Partition.make ~span:t.span !pts
 
 let average_degree_over t ~window =
@@ -198,32 +242,23 @@ let average_degree_over t ~window =
 
 let restrict t ~span:sub =
   if not (Interval.contains t.span sub) then invalid_arg "Tveg.restrict: span not contained";
-  let pairs = Hashtbl.create (Hashtbl.length t.pairs) in
-  let deg = Array.make t.n [] in
-  for i = 0 to t.n - 1 do
-    Array.iter
-      (fun j ->
+  let kept = ref [] in
+  for i = t.n - 1 downto 0 do
+    Array.iteri
+      (fun k j ->
         if j > i then begin
-          match find_pair t i j with
-          | None -> ()
-          | Some p ->
-              let clipped =
-                Array.to_list p.segs
-                |> List.filter_map (fun l ->
-                       match Interval.inter l.iv sub with
-                       | None -> None
-                       | Some iv -> Some { l with iv })
-              in
-              (match clipped with
-              | [] -> ()
-              | _ :: _ ->
-                  Hashtbl.replace pairs ((i * t.n) + j) (make_pair clipped);
-                  deg.(i) <- j :: deg.(i);
-                  deg.(j) <- i :: deg.(j))
+          let clipped =
+            Array.to_list t.pairs.(i).(k).segs
+            |> List.filter_map (fun l ->
+                   match Interval.inter l.iv sub with
+                   | None -> None
+                   | Some iv -> Some { l with iv })
+          in
+          match clipped with [] -> () | _ :: _ -> kept := (i, j, make_pair clipped) :: !kept
         end)
       t.adj.(i)
   done;
-  { t with span = sub; pairs; adj = finish_adj deg }
+  of_pairs ~n:t.n ~span:sub ~tau:t.tau !kept
 
 (* Temporal Dijkstra over contact segments (the Tvg journey scan,
    restated on the sparse adjacency): from a node reached at time [a],
@@ -239,23 +274,20 @@ let earliest_arrival t ~src ~t0 =
   arrivals.(src) <- t0;
   Pqueue.push queue t0 src;
   let relax i a =
-    Array.iter
-      (fun j ->
-        match find_pair t i j with
-        | None -> ()
-        | Some p ->
-            Interval_set.iter
-              (fun iv ->
-                let lo = iv.Interval.lo and hi = iv.Interval.hi in
-                let depart = Float.max a lo in
-                if depart +. t.tau < hi then begin
-                  let arr = depart +. t.tau in
-                  if arr < arrivals.(j) then begin
-                    arrivals.(j) <- arr;
-                    Pqueue.push queue arr j
-                  end
-                end)
-              p.presence)
+    Array.iteri
+      (fun k j ->
+        Interval_set.iter
+          (fun iv ->
+            let lo = iv.Interval.lo and hi = iv.Interval.hi in
+            let depart = Float.max a lo in
+            if depart +. t.tau < hi then begin
+              let arr = depart +. t.tau in
+              if arr < arrivals.(j) then begin
+                arrivals.(j) <- arr;
+                Pqueue.push queue arr j
+              end
+            end)
+          t.pairs.(i).(k).presence)
       t.adj.(i)
   in
   let rec drain () =
@@ -274,12 +306,8 @@ let earliest_arrival t ~src ~t0 =
 let pp ppf t =
   let count = ref 0 in
   for i = 0 to t.n - 1 do
-    Array.iter
-      (fun j ->
-        if j > i then
-          match find_pair t i j with
-          | None -> ()
-          | Some p -> count := !count + Array.length p.segs)
+    Array.iteri
+      (fun k j -> if j > i then count := !count + Array.length t.pairs.(i).(k).segs)
       t.adj.(i)
   done;
   Format.fprintf ppf "tveg{n=%d span=%a tau=%g links=%d}" t.n Interval.pp t.span t.tau !count

@@ -28,6 +28,11 @@ val tau : t -> float
 val links : t -> int -> int -> link list
 (** Contact segments of the unordered pair, sorted by start. *)
 
+val covering_link : t -> int -> int -> float -> link option
+(** The first segment, in {!links} order, whose interval contains the
+    time — whether or not a transmission started then completes on it.
+    [None] for [i = j] or when no segment covers the time. *)
+
 val rho_tau : t -> int -> int -> float -> bool
 (** A transmission started at the given time completes: the edge is
     continuously present on [\[t, t+τ\]]. *)
@@ -40,15 +45,25 @@ val ed_at : t -> phy:Tmedb_channel.Phy.t -> channel:channel -> int -> int -> flo
 (** The ψ of Definition 3.2: ED-function of edge (i,j) at a time
     ([Absent] when the transmission cannot complete). *)
 
+val iter_neighbors_at : t -> int -> float -> (int -> float -> unit) -> unit
+(** [iter_neighbors_at g i t f] calls [f j dist] for every neighbour
+    [j] with ρ_τ = 1 at [t], ascending node id, without building a
+    list.  O(deg(i) · log L) — only nodes sharing a contact with [i]
+    are examined, not all N. *)
+
 val neighbors_at : t -> int -> float -> (int * float) list
-(** (neighbour, distance) pairs with ρ_τ = 1, ascending node id.
-    O(deg(i) · log L) — only nodes sharing a contact with [i] are
-    examined, not all N. *)
+(** The (neighbour, distance) pairs {!iter_neighbors_at} visits, in
+    the same ascending order. *)
 
 val neighbor_ids : t -> int -> int array
 (** Nodes sharing at least one contact segment with the given node
     over the whole span, ascending.  O(1); the returned array is the
     graph's own adjacency — callers must not mutate it. *)
+
+val nth_dist_at : t -> int -> int -> float -> float option
+(** [nth_dist_at g i k t] is [dist_at g i j t] for [j = (neighbor_ids
+    g i).(k)], read from the pair stored at that position instead of
+    searching for it.  O(log L). *)
 
 val presence : t -> int -> int -> Interval_set.t
 (** Normalised union of the pair's contact segments: the times at

@@ -337,8 +337,10 @@ let test_aux_graph_deadline_blocks_late_levels () =
    one: same vertex universe and ids, and — because the traversals
    break priority ties by operation sequence — the *same successor
    enumeration order* in both directions, edge for edge. *)
-let check_lazy_matches_eager p =
-  let dts = Problem.dts p in
+type touch_order = Interleaved | Fwd_first | Rev_first
+
+let check_lazy_matches_eager ?cap_per_node ?(order = Interleaved) p =
+  let dts = Problem.dts ?cap_per_node p in
   let aux = Aux_graph.build p dts in
   let lazy_aux = Aux_graph.Lazy.create p dts in
   let nv = Tmedb_steiner.Digraph.n aux.Aux_graph.graph in
@@ -359,15 +361,33 @@ let check_lazy_matches_eager p =
   let fwd = Aux_graph.Lazy.view lazy_aux in
   let rev = Aux_graph.Lazy.rev_view lazy_aux in
   let rev_eager = Tmedb_steiner.Digraph.reverse aux.Aux_graph.graph in
-  for u = 0 to nv - 1 do
+  let check_fwd u =
     Alcotest.check pair
       (Printf.sprintf "fwd succ of %d" u)
       (succs (Tmedb_steiner.Digraph.iter_succ aux.Aux_graph.graph) u)
-      (succs fwd.Tmedb_steiner.Digraph.iter_succ u);
+      (succs fwd.Tmedb_steiner.Digraph.iter_succ u)
+  in
+  let check_rev u =
     Alcotest.check pair
       (Printf.sprintf "rev succ of %d" u)
       (succs (Tmedb_steiner.Digraph.iter_succ rev_eager) u)
-      (succs rev.Tmedb_steiner.Digraph.iter_succ u);
+      (succs rev.Tmedb_steiner.Digraph.iter_succ u)
+  in
+  (* Blocks build their reverse index on demand, so which direction
+     touches a block first must not matter. *)
+  (match order with
+  | Interleaved ->
+      for u = 0 to nv - 1 do
+        check_fwd u;
+        check_rev u
+      done
+  | Fwd_first ->
+      for u = 0 to nv - 1 do check_fwd u done;
+      for u = 0 to nv - 1 do check_rev u done
+  | Rev_first ->
+      for u = 0 to nv - 1 do check_rev u done;
+      for u = 0 to nv - 1 do check_fwd u done);
+  for u = 0 to nv - 1 do
     let same =
       match (aux.Aux_graph.vertex.(u), Aux_graph.Lazy.describe lazy_aux u) with
       | Aux_graph.Wait a, Aux_graph.Wait b ->
@@ -396,6 +416,41 @@ let test_lazy_aux_equivalence () =
   in
   check_lazy_matches_eager
     (Problem.make ~graph:g ~phy ~channel:`Static ~source:0 ~deadline:18. ())
+
+(* Logs warnings of the DTS source raised while running [f]. *)
+let with_dts_warnings f =
+  let count = ref 0 in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_level (Some Logs.Warning);
+  Logs.set_reporter
+    {
+      Logs.report =
+        (fun src lvl ~over k msgf ->
+          if lvl = Logs.Warning && String.equal (Logs.Src.name src) "tmedb.dts" then incr count;
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.ikfprintf (fun _ -> over (); k ()) Format.err_formatter fmt));
+    };
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    (fun () ->
+      let r = f () in
+      (r, !count))
+
+(* A clustered Scale shape whose DTS cap bites at the base points, so
+   coverage edges round forward past dropped receive instants. *)
+let test_lazy_aux_equivalence_capped () =
+  let params = { Scale.default_params with Scale.cluster = 6; epochs = 1; seed = 11 } in
+  let g = Scale.scenario ~params ~n:12 () in
+  let p =
+    Problem.make ~graph:g ~phy ~channel:`Static ~source:0 ~deadline:(Scale.deadline ~params ()) ()
+  in
+  let (), warnings = with_dts_warnings (fun () -> ignore (Problem.dts ~cap_per_node:5 p)) in
+  check_int "cap bites" 1 warnings;
+  List.iter
+    (fun order -> check_lazy_matches_eager ~cap_per_node:5 ~order p)
+    [ Fwd_first; Rev_first ]
 
 let test_lazy_aux_frontier_is_partial () =
   (* A targeted Dijkstra on the lazy view must not touch the whole
@@ -1106,6 +1161,76 @@ let test_fig6_digest_jobs_invariant () =
             (digest (Some pool))))
     [ 1; 2; 4 ]
 
+(* Cap-biting DTS closures and the lazy SPT schedule, pinned to the
+   digests of the reference implementation (per-node FloatSet
+   cardinals, a hashed pair table and a second DCS query per block),
+   together with the number of truncation warnings each raised. *)
+let hex_digest x = Digest.to_hex (Digest.string (Marshal.to_string x []))
+let dts_digest d = hex_digest (Array.init (Dts.num_nodes d) (Dts.node_points d))
+
+(* Four well-connected nodes and six sparse ones.  Every node starts
+   below the cap of 24, so truncation only begins mid-propagation,
+   once some nodes have filled while others never do. *)
+let mixed_density_graph ~tau =
+  let rng = Rng.create 3 in
+  let n = 10 and dense = 4 in
+  let entries = ref [] in
+  for i = 0 to n - 2 do
+    for j = i + 1 to n - 1 do
+      let k = if i < dense && j < dense then 3 else if Rng.float rng 1. < 0.35 then 1 else 0 in
+      for _ = 1 to k do
+        let lo = Float.round (Rng.float rng 90.) in
+        let len = 2. +. Float.round (Rng.float rng 20.) in
+        let hi = Float.min 100. (lo +. len) in
+        entries := (i, j, link lo hi (5. +. Rng.float rng 50.)) :: !entries
+      done
+    done
+  done;
+  Tveg.create ~n ~span:(iv 0. 100.) ~tau (List.rev !entries)
+
+let test_dts_cap_pinned_scale () =
+  let g = Scale.scenario ~n:64 () in
+  let deadline = Scale.deadline () in
+  let p = Problem.make ~graph:g ~phy ~channel:`Static ~source:0 ~deadline () in
+  let d, w = with_dts_warnings (fun () -> Problem.dts ~cap_per_node:8 p) in
+  Alcotest.(check string) "source-pruned points" "6e654bd99113fd36003abb93960555ce" (dts_digest d);
+  check_int "source-pruned warnings" 1 w;
+  let d, w = with_dts_warnings (fun () -> Dts.compute ~cap_per_node:8 g ~deadline) in
+  Alcotest.(check string) "unpruned points" "6283963dc9e5eec839e0bf99ff5a397a" (dts_digest d);
+  check_int "unpruned warnings" 1 w
+
+let test_dts_cap_pinned_mid_propagation () =
+  List.iter
+    (fun (tau, cap, digest, warnings) ->
+      let label = Printf.sprintf "tau %g cap %d" tau cap in
+      let d, w =
+        with_dts_warnings (fun () ->
+            Dts.compute ~cap_per_node:cap (mixed_density_graph ~tau) ~deadline:90.)
+      in
+      Alcotest.(check string) (label ^ " points") digest (dts_digest d);
+      check_int (label ^ " warnings") warnings w)
+    [
+      (1., 24, "bd9bfdbf40d57322abe2b76c26c112be", 1);
+      (0., 24, "fbd3c747e8a904c223b0dac0c82d130f", 1);
+      (1., 100_000, "e091263915aee31b7415ffafb2052396", 0);
+      (0., 100_000, "0e8651746e8cdd6d59466baa4aa04321", 0);
+    ]
+
+let test_spt_lazy_pinned_scale () =
+  let g = Scale.scenario ~n:100 () in
+  let p =
+    Problem.make ~graph:g ~phy ~channel:`Static ~source:0 ~deadline:(Scale.deadline ()) ()
+  in
+  let o, w =
+    with_dts_warnings (fun () ->
+        Spt.plan (Planner.Ctx.make ~lazy_aux:true ~cap_per_node:64 ()) p)
+  in
+  Alcotest.(check string)
+    "schedule" "ed2d268fba0635fe025a4ef87958628e"
+    (Digest.to_hex (Digest.string (Schedule.to_csv o.Planner.Outcome.schedule)));
+  Alcotest.(check (list int)) "everyone reached" [] o.Planner.Outcome.unreached;
+  check_int "warnings" 1 w
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core"
@@ -1149,6 +1274,7 @@ let () =
           tc "extract roundtrip" test_aux_graph_extract_roundtrip;
           tc "deadline blocks late levels" test_aux_graph_deadline_blocks_late_levels;
           tc "lazy equivalence" test_lazy_aux_equivalence;
+          tc "lazy equivalence capped, both touch orders" test_lazy_aux_equivalence_capped;
           tc "lazy frontier partial" test_lazy_aux_frontier_is_partial;
         ] );
       ( "spt",
@@ -1236,5 +1362,10 @@ let () =
           tc "LB fading exceeds static" test_lower_bound_fading_exceeds_static;
         ] );
       ( "determinism",
-        [ tc "fig6 digest jobs=1/2/4" test_fig6_digest_jobs_invariant ] );
+        [
+          tc "fig6 digest jobs=1/2/4" test_fig6_digest_jobs_invariant;
+          tc "capped DTS pinned (Scale)" test_dts_cap_pinned_scale;
+          tc "capped DTS pinned (mid-propagation)" test_dts_cap_pinned_mid_propagation;
+          tc "lazy SPT pinned (Scale N=100)" test_spt_lazy_pinned_scale;
+        ] );
     ]

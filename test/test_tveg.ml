@@ -86,6 +86,127 @@ let test_tveg_validation () =
   Alcotest.check_raises "negative tau" (Invalid_argument "Tveg.create: negative tau") (fun () ->
       ignore (Tveg.create ~n:2 ~span:span10 ~tau:(-1.) []))
 
+(* Model-based check of the contact store: random contact lists with
+   overlapping segments, shared endpoints and duplicate intervals, both
+   τ = 0 and τ > 0.  The model is the raw entry list: a pair's links
+   are its entries, newest first, stably sorted by interval; the
+   covering link is the first of them containing the time; ρ_τ needs
+   the transmission to end before that link does.  Every query is
+   probed at every segment endpoint (and endpoint − τ) and just around
+   it, on the graph and on a restriction of it. *)
+let link_equal (a : Tveg.link) (b : Tveg.link) =
+  Interval.equal a.Tveg.iv b.Tveg.iv && Float.equal a.Tveg.dist b.Tveg.dist
+
+let nbrs_equal = List.equal (fun (j, d) (j', d') -> j = j' && Float.equal d d')
+
+let check_store_against_model ~n ~tau ~model g =
+  let ok = ref true in
+  let probes = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      List.iter
+        (fun (l : Tveg.link) ->
+          List.iter
+            (fun e ->
+              List.iter
+                (fun x -> probes := x :: !probes)
+                [ e; e -. tau; Float.pred e; Float.succ e; e -. 1e-3; e +. 1e-3 ])
+            [ l.Tveg.iv.Interval.lo; l.Tveg.iv.Interval.hi ])
+        (model i j)
+    done
+  done;
+  let model_cover i j t = List.find_opt (fun (l : Tveg.link) -> Interval.mem l.Tveg.iv t) (model i j) in
+  let model_dist i j t =
+    match model_cover i j t with
+    | Some l when t +. tau < l.Tveg.iv.Interval.hi -> Some l.Tveg.dist
+    | Some _ | None -> None
+  in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then begin
+        let m = model i j in
+        if not (List.equal link_equal m (Tveg.links g i j)) then ok := false;
+        let pres = Interval_set.of_list (List.map (fun (l : Tveg.link) -> l.Tveg.iv) m) in
+        if not (Interval_set.equal pres (Tveg.presence g i j)) then ok := false
+      end
+    done
+  done;
+  List.iter
+    (fun t ->
+      for i = 0 to n - 1 do
+        let naive =
+          List.filter_map
+            (fun j -> if j = i then None else Option.map (fun d -> (j, d)) (model_dist i j t))
+            (List.init n Fun.id)
+        in
+        let visited = ref [] in
+        Tveg.iter_neighbors_at g i t (fun j d -> visited := (j, d) :: !visited);
+        if not (nbrs_equal naive (List.rev !visited) && nbrs_equal naive (Tveg.neighbors_at g i t))
+        then ok := false;
+        Array.iteri
+          (fun k j ->
+            if not (Option.equal Float.equal (model_dist i j t) (Tveg.nth_dist_at g i k t)) then
+              ok := false)
+          (Tveg.neighbor_ids g i);
+        for j = 0 to n - 1 do
+          if i <> j then begin
+            if not (Option.equal link_equal (model_cover i j t) (Tveg.covering_link g i j t)) then
+              ok := false;
+            if not (Option.equal Float.equal (model_dist i j t) (Tveg.dist_at g i j t)) then
+              ok := false;
+            if Tveg.rho_tau g i j t <> Option.is_some (model_dist i j t) then ok := false
+          end
+        done
+      done)
+    !probes;
+  !ok
+
+let prop_contact_store_model =
+  QCheck.Test.make ~name:"contact store = naive scan over links" ~count:150 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 5 in
+      let tau = if seed mod 2 = 0 then 0. else [| 0.5; 1.; 2. |].(Rng.int rng 3) in
+      let entries = ref [] in
+      for i = 0 to n - 2 do
+        for j = i + 1 to n - 1 do
+          if Rng.float rng 1. < 0.7 then
+            for _ = 1 to 1 + Rng.int rng 4 do
+              (* Integer endpoints make shared endpoints and overlaps
+                 common; some entries repeat the previous interval. *)
+              let seg =
+                match !entries with
+                | (_, _, prev) :: _ when Rng.float rng 1. < 0.15 -> prev.Tveg.iv
+                | _ ->
+                    let lo = float_of_int (Rng.int rng 10) in
+                    iv lo (Float.min 10. (lo +. float_of_int (1 + Rng.int rng 4)))
+              in
+              let dist = 1. +. Rng.float rng 99. in
+              let a, b = if Rng.bool rng then (i, j) else (j, i) in
+              entries := (a, b, { Tveg.iv = seg; dist }) :: !entries
+            done
+        done
+      done;
+      let entries = List.rev !entries in
+      let g = Tveg.create ~n ~span:span10 ~tau entries in
+      let model i j =
+        List.filter_map
+          (fun (a, b, l) -> if (a = i && b = j) || (a = j && b = i) then Some l else None)
+          entries
+        |> List.rev
+        |> List.stable_sort (fun (x : Tveg.link) (y : Tveg.link) -> Interval.compare x.Tveg.iv y.Tveg.iv)
+      in
+      let lo = float_of_int (Rng.int rng 9) in
+      let sub = iv lo (lo +. float_of_int (1 + Rng.int rng (int_of_float (10. -. lo)))) in
+      let clipped i j =
+        List.filter_map
+          (fun (l : Tveg.link) ->
+            Option.map (fun iv -> { l with Tveg.iv }) (Interval.inter l.Tveg.iv sub))
+          (model i j)
+      in
+      check_store_against_model ~n ~tau ~model g
+      && check_store_against_model ~n ~tau ~model:clipped (Tveg.restrict g ~span:sub))
+
 (* ------------------------------------------------------------------ *)
 (* Dts *)
 
@@ -573,6 +694,7 @@ let () =
           tc "adjacent partition" test_tveg_adjacent_partition;
           tc "restrict" test_tveg_restrict;
           tc "validation" test_tveg_validation;
+          QCheck_alcotest.to_alcotest prop_contact_store_model;
         ] );
       ( "dts",
         [
