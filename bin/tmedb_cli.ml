@@ -183,7 +183,7 @@ let load_trace path =
   | Ok t -> t
   | Error e ->
       Printf.eprintf "error loading %s: %s\n" path e;
-      exit 1
+      exit 2
 
 let pick_source trace deadline seed = function
   | Some s -> s

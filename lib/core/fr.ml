@@ -19,44 +19,61 @@ type allocation = Planner.Outcome.allocation = {
   outer_iterations : int;
 }
 
-(* log φ(w) and its derivative for the fading ED-functions.  The
-   Rayleigh case is analytic; Nakagami falls back to differences. *)
-let log_failure ~channel ~beta w =
-  if w <= 0. then 0.
-  else begin
-    match channel with
-    | `Rayleigh -> Futil.log1p_safe (-.exp (-.beta /. w))
-    | `Nakagami m -> Float.log (Float.max 1e-300 (Specfun.gammp ~a:m ~x:(m *. beta /. w)))
-    | `Lognormal sigma ->
-        Float.log (Float.max 1e-300 (Specfun.normal_cdf (log (beta /. w) /. sigma)))
-    | `Static -> assert false
-  end
+(* log φ(w) and its derivative for the fading ED-functions, picked
+   once per channel.  The Rayleigh case is analytic; Nakagami and
+   log-normal derivatives fall back to central differences. *)
+let log_failure channel =
+  match channel with
+  | `Rayleigh -> fun ~beta w -> if w <= 0. then 0. else Futil.log1p_safe (-.exp (-.beta /. w))
+  | `Nakagami m ->
+      fun ~beta w ->
+        if w <= 0. then 0.
+        else Float.log (Float.max 1e-300 (Specfun.gammp ~a:m ~x:(m *. beta /. w)))
+  | `Lognormal sigma ->
+      fun ~beta w ->
+        if w <= 0. then 0.
+        else Float.log (Float.max 1e-300 (Specfun.normal_cdf (log (beta /. w) /. sigma)))
+  | `Static -> assert false
 
-let dlog_failure ~channel ~beta w =
-  if w <= 0. then 0.
-  else begin
-    match channel with
-    | `Rayleigh ->
-        let e = exp (-.beta /. w) in
-        let phi = 1. -. e in
-        if phi <= 0. then 0. else -.(e *. beta /. (w *. w)) /. phi
-    | `Nakagami _ | `Lognormal _ ->
-        let h = 1e-6 *. Float.max w 1e-15 in
-        (log_failure ~channel ~beta (w +. h) -. log_failure ~channel ~beta (w -. h)) /. (2. *. h)
-    | `Static -> assert false
-  end
+let dlog_failure channel =
+  match channel with
+  | `Rayleigh ->
+      fun ~beta w ->
+        if w <= 0. then 0.
+        else begin
+          let e = exp (-.beta /. w) in
+          let phi = 1. -. e in
+          if phi <= 0. then 0. else -.(e *. beta /. (w *. w)) /. phi
+        end
+  | `Nakagami _ | `Lognormal _ ->
+      let term = log_failure channel in
+      fun ~beta w ->
+        if w <= 0. then 0.
+        else begin
+          let h = 1e-6 *. Float.max w 1e-15 in
+          (term ~beta (w +. h) -. term ~beta (w -. h)) /. (2. *. h)
+        end
+  | `Static -> assert false
 
 (* One allocation constraint: Σ_k log φ_{k}(w_k) ≤ log ε over the
    member transmissions (paper Eq. 15 for plain nodes, Eq. 16 for
    relays). *)
 type coverage_constraint = {
   about : int;  (** Node the constraint protects. *)
-  members : (int * float) list;  (** (transmission index, β). *)
+  idx : int array;  (** Member transmission indices, *)
+  beta : float array;  (** and their β, index-aligned with [idx]. *)
 }
 
-let constraint_value ~channel ~log_eps c w =
-  List.fold_left (fun acc (k, beta) -> acc +. log_failure ~channel ~beta w.(k)) 0. c.members
-  -. log_eps
+let of_members about members =
+  { about; idx = Array.of_list (List.map fst members); beta = Array.of_list (List.map snd members) }
+
+(* The constraint's value at costs [w], summed in member order. *)
+let constraint_value ~term ~log_eps c w =
+  let acc = ref 0. in
+  for i = 0 to Array.length c.idx - 1 do
+    acc := !acc +. term ~beta:c.beta.(i) w.(c.idx.(i))
+  done;
+  !acc -. log_eps
 
 (* Firing order of backbone transmissions under Eq. 6 with the
    backbone's own costs: the global sequence in which relays actually
@@ -159,8 +176,7 @@ let build_constraints problem txs =
   let node_constraints =
     List.filter_map
       (fun j ->
-        if j = problem.Problem.source then None
-        else Some { about = j; members = node_members.(j) })
+        if j = problem.Problem.source then None else Some (of_members j node_members.(j)))
       (List.init (Tveg.n g) (fun j -> j))
   in
   (* Eq. 16: each relay informed before it transmits — members are the
@@ -183,7 +199,7 @@ let build_constraints problem txs =
                    | None, (Some _ | None) -> false)
                  node_members.(r)
              in
-             Some { about = r; members }
+             Some (of_members r members)
            end)
     |> List.filter_map Fun.id
   in
@@ -200,7 +216,8 @@ let allocate ?warm problem backbone_schedule =
     ~args:
       [ ("transmissions", string_of_int (List.length (Schedule.transmissions backbone_schedule))) ]
   @@ fun () ->
-  let channel = problem.Problem.channel in
+  let term = log_failure problem.Problem.channel in
+  let dterm = dlog_failure problem.Problem.channel in
   let phy = problem.Problem.phy in
   (* Slightly tighter than ε so that float round-off in the feasibility
      checker's running product can never flip a boundary solution. *)
@@ -220,12 +237,12 @@ let allocate ?warm problem backbone_schedule =
     let node_constraints, relay_constraints, coverages = build_constraints problem txs in
     let unsatisfiable_empty =
       List.filter_map
-        (fun c -> if c.members = [] then Some c.about else None)
+        (fun c -> if c.idx = [||] then Some c.about else None)
         (node_constraints @ relay_constraints)
       |> List.sort_uniq Int.compare
     in
     let live_constraints =
-      List.filter (fun c -> c.members <> []) (node_constraints @ relay_constraints)
+      List.filter (fun c -> c.idx <> [||]) (node_constraints @ relay_constraints)
     in
     (* Variable scaling: x_k = w_k / scale_k with scale the single-hop
        ε-cost of the transmission's farthest neighbour. *)
@@ -237,25 +254,41 @@ let allocate ?warm problem backbone_schedule =
           else Float.max phy.Phy.w_min (1e-6 *. phy.Phy.w_max))
         coverages
     in
-    let to_w x = Array.mapi (fun k xk -> scale.(k) *. xk) x in
     let scale_sum = Array.fold_left ( +. ) 0. scale in
+    (* Σ w_k / Σ scale_k, Kahan-summed in index order. *)
     let objective x =
-      Futil.kahan_sum (Array.mapi (fun k xk -> scale.(k) *. xk) x) /. scale_sum
+      let sum = ref 0. and comp = ref 0. in
+      for k = 0 to nvars - 1 do
+        let y = (scale.(k) *. x.(k)) -. !comp in
+        let t = !sum +. y in
+        comp := t -. !sum -. y;
+        sum := t
+      done;
+      !sum /. scale_sum
     in
     let objective_grad _ = Array.map (fun s -> s /. scale_sum) scale in
+    (* The NLP sees each constraint at w_k = scale_k·x_k, computed
+       member by member: the same floats as [constraint_value] on the
+       costs, without building them. *)
     let mk_constraint c =
       {
         Nlp.label = Printf.sprintf "inform-%d" c.about;
-        g = (fun x -> constraint_value ~channel ~log_eps c (to_w x));
+        g =
+          (fun x ->
+            let acc = ref 0. in
+            for i = 0 to Array.length c.idx - 1 do
+              let k = c.idx.(i) in
+              acc := !acc +. term ~beta:c.beta.(i) (scale.(k) *. x.(k))
+            done;
+            !acc -. log_eps);
         g_grad =
           Some
             (fun x ->
-              let w = to_w x in
               let grad = Array.make nvars 0. in
-              List.iter
-                (fun (k, beta) ->
-                  grad.(k) <- grad.(k) +. (dlog_failure ~channel ~beta w.(k) *. scale.(k)))
-                c.members;
+              for i = 0 to Array.length c.idx - 1 do
+                let k = c.idx.(i) in
+                grad.(k) <- grad.(k) +. (dterm ~beta:c.beta.(i) (scale.(k) *. x.(k)) *. scale.(k))
+              done;
               grad);
       }
     in
@@ -330,24 +363,23 @@ let allocate ?warm problem backbone_schedule =
       let unsatisfiable = ref unsatisfiable_empty in
       let repaired = ref false in
       let repair c =
-        if constraint_value ~channel ~log_eps c w > tol then begin
+        if constraint_value ~term ~log_eps c w > tol then begin
           repaired := true;
           let apply lambda =
-            List.iter
-              (fun (k, _) -> w.(k) <- Float.min phy.Phy.w_max (lambda *. w.(k)))
-              c.members
+            Array.iter (fun k -> w.(k) <- Float.min phy.Phy.w_max (lambda *. w.(k))) c.idx
           in
           let value_at lambda =
-            List.fold_left
-              (fun acc (k, beta) ->
-                acc +. log_failure ~channel ~beta (Float.min phy.Phy.w_max (lambda *. w.(k))))
-              0. c.members
-            -. log_eps
+            let acc = ref 0. in
+            for i = 0 to Array.length c.idx - 1 do
+              acc :=
+                !acc +. term ~beta:c.beta.(i) (Float.min phy.Phy.w_max (lambda *. w.(c.idx.(i))))
+            done;
+            !acc -. log_eps
           in
           let lambda_max =
-            List.fold_left
-              (fun acc (k, _) -> Float.max acc (phy.Phy.w_max /. Float.max w.(k) 1e-300))
-              1. c.members
+            Array.fold_left
+              (fun acc k -> Float.max acc (phy.Phy.w_max /. Float.max w.(k) 1e-300))
+              1. c.idx
           in
           match
             Bisect.least_satisfying (fun lambda -> value_at lambda <= 0.) ~lo:1. ~hi:lambda_max
@@ -368,7 +400,7 @@ let allocate ?warm problem backbone_schedule =
     let repaired_candidates =
       List.map
         (fun (r : Nlp.result) ->
-          let w = to_w r.Nlp.x in
+          let w = Array.mapi (fun k xk -> scale.(k) *. xk) r.Nlp.x in
           let unsat, rep = repair_all w in
           (w, unsat, rep, r))
         candidates_solved
@@ -388,16 +420,17 @@ let allocate ?warm problem backbone_schedule =
        Σw, so this deterministically reclaims coverage redundancy the
        penalty solver missed. *)
     let ed_of beta =
-      match channel with
+      match problem.Problem.channel with
       | `Rayleigh -> Ed_function.rayleigh ~beta
       | `Nakagami m -> Ed_function.nakagami ~beta ~m
       | `Lognormal sigma -> Ed_function.lognormal ~beta ~sigma
       | `Static -> assert false
     in
+    (* Per transmission: each live constraint it appears in, with its
+       member position there. *)
     let constraints_of = Array.make nvars [] in
     List.iter
-      (fun c ->
-        List.iter (fun (k, _) -> constraints_of.(k) <- c :: constraints_of.(k)) c.members)
+      (fun c -> Array.iteri (fun i k -> constraints_of.(k) <- (c, i) :: constraints_of.(k)) c.idx)
       live_constraints;
     let polish_tol = 1e-4 in
     let sweep () =
@@ -405,22 +438,19 @@ let allocate ?warm problem backbone_schedule =
       for k = 0 to nvars - 1 do
         let required =
           List.fold_left
-            (fun acc c ->
-              if constraint_value ~channel ~log_eps c w > tol then
+            (fun acc (c, i) ->
+              if constraint_value ~term ~log_eps c w > tol then
                 (* Already violated (w_max saturation): do not move. *)
                 Float.max acc w.(k)
               else begin
-                let beta_k = List.assoc k c.members in
-                let others =
-                  List.fold_left
-                    (fun s (k', beta') ->
-                      if k' = k then s else s +. log_failure ~channel ~beta:beta' w.(k'))
-                    0. c.members
-                in
-                let rhs = log_eps -. others in
+                let others = ref 0. in
+                Array.iteri
+                  (fun i' k' -> if k' <> k then others := !others +. term ~beta:c.beta.(i') w.(k'))
+                  c.idx;
+                let rhs = log_eps -. !others in
                 if rhs >= 0. then acc
                 else begin
-                  match Ed_function.cost_for_failure (ed_of beta_k) ~target:(exp rhs) with
+                  match Ed_function.cost_for_failure (ed_of c.beta.(i)) ~target:(exp rhs) with
                   | Some need -> Float.max acc need
                   | None -> Float.max acc w.(k)
                 end

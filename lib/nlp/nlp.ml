@@ -45,15 +45,25 @@ let t_solve = Tmedb_obs.Timer.make "nlp.solve"
 let max_violation problem x =
   List.fold_left (fun acc c -> Float.max acc (Float.max 0. (c.g x))) 0. problem.constraints
 
-let penalized problem ~mu x =
-  let violation_sq =
-    List.fold_left
-      (fun acc c ->
+(* objective + mu·Σ max(0, g)², summed in constraint order.  Every
+   term is >= 0 and mu > 0, and round-to-nearest addition and
+   multiplication are monotone, so each partial value bounds the full
+   value from below: once a partial value is past [bound] the full one
+   is too, and returning it early meets {!Projgrad.minimize}'s bound
+   contract.  A value that never passes [bound] is the full sum,
+   bit-identical to an unbounded evaluation. *)
+let penalized (problem : problem) ~mu ~bound x =
+  if not (mu > 0.) then invalid_arg "Nlp.penalized: mu must be > 0";
+  let objective = problem.objective x in
+  let rec sum violation_sq = function
+    | [] -> objective +. (mu *. violation_sq)
+    | c :: rest ->
         let v = Float.max 0. (c.g x) in
-        acc +. (v *. v))
-      0. problem.constraints
+        let violation_sq = violation_sq +. (v *. v) in
+        let value = objective +. (mu *. violation_sq) in
+        if value > bound then value else sum violation_sq rest
   in
-  problem.objective x +. (mu *. violation_sq)
+  sum 0. problem.constraints
 
 let penalized_grad problem ~mu x =
   let n = Array.length x in

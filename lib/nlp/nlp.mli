@@ -39,5 +39,15 @@ type result = {
 
 val solve : ?options:options -> problem -> x0:float array -> result
 
+val penalized : problem -> mu:float -> bound:float -> float array -> float
+(** [penalized problem ~mu ~bound x] is the quadratic-penalty objective
+    [objective x + mu * Σ max(0, g_i x)²] that {!solve} hands to
+    {!Projgrad.minimize}, under that function's bound contract: when
+    the value is [<= bound] the result is exactly it (bit-identical
+    to [~bound:infinity]); otherwise the sum stops at the first
+    constraint that takes it past [bound] and returns that partial
+    value, which is [> bound].
+    @raise Invalid_argument unless [mu > 0]. *)
+
 val max_violation : problem -> float array -> float
 (** Largest positive constraint value (0 when feasible). *)

@@ -29,8 +29,6 @@ let t_minimize = Tmedb_obs.Timer.make "nlp.projgrad"
 let project ~lower ~upper x =
   Array.mapi (fun i xi -> Futil.clamp ~lo:lower.(i) ~hi:upper.(i) xi) x
 
-let norm2 v = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v)
-
 (* Barzilai–Borwein window: the nonmonotone line search references the
    worst of the last few accepted objective values, which lets the
    long BB steps through where a monotone Armijo search would shrink
@@ -47,9 +45,11 @@ let minimize ?(options = default_options) ~f ?grad ~lower ~upper ~x0 () =
   Array.iteri
     (fun i lo -> if lo > upper.(i) then invalid_arg "Projgrad.minimize: empty box")
     lower;
-  let grad = match grad with Some g -> g | None -> Numdiff.gradient f in
+  let grad =
+    match grad with Some g -> g | None -> Numdiff.gradient (f ~bound:Float.infinity)
+  in
   let x = ref (project ~lower ~upper x0) in
-  let fx = ref (f !x) in
+  let fx = ref (f ~bound:Float.infinity !x) in
   let iterations = ref 0 in
   let converged = ref false in
   (* BB state: the previous accepted iterate/gradient, and the recent
@@ -59,12 +59,16 @@ let minimize ?(options = default_options) ~f ?grad ~lower ~upper ~x0 () =
   let recent_f = ref [ !fx ] in
   while (not !converged) && !iterations < options.max_iter do
     incr iterations;
-    let g = grad !x in
-    (* Projected-gradient stationarity measure: the step to the
-       projection of a unit gradient move. *)
-    let moved = project ~lower ~upper (Array.mapi (fun i xi -> xi -. g.(i)) !x) in
-    let pg = Array.mapi (fun i mi -> !x.(i) -. mi) moved in
-    if norm2 pg <= options.grad_tol then converged := true
+    let xk = !x in
+    let g = grad xk in
+    (* Projected-gradient stationarity measure: the norm of the step to
+       the projection of a unit gradient move. *)
+    let pg_sq = ref 0. in
+    for i = 0 to n - 1 do
+      let pg = xk.(i) -. Futil.clamp ~lo:lower.(i) ~hi:upper.(i) (xk.(i) -. g.(i)) in
+      pg_sq := !pg_sq +. (pg *. pg)
+    done;
+    if sqrt !pg_sq <= options.grad_tol then converged := true
     else begin
       (* BB1 spectral step (s·s)/(s·y) seeds the backtracking when
          enabled; the plain Armijo search keeps [step_init]. *)
@@ -76,7 +80,7 @@ let minimize ?(options = default_options) ~f ?grad ~lower ~upper ~x0 () =
           | Some (px, pgrad) ->
               let sts = ref 0. and sty = ref 0. in
               for i = 0 to n - 1 do
-                let s = !x.(i) -. px.(i) in
+                let s = xk.(i) -. px.(i) in
                 sts := !sts +. (s *. s);
                 sty := !sty +. (s *. (g.(i) -. pgrad.(i)))
               done;
@@ -92,26 +96,32 @@ let minimize ?(options = default_options) ~f ?grad ~lower ~upper ~x0 () =
         if not options.bb then !fx
         else List.fold_left Float.max !fx !recent_f
       in
-      (* Backtracking along the projected-descent arc. *)
+      (* Backtracking along the projected-descent arc.  Every try
+         rewrites the one candidate buffer and sums the Armijo decrease
+         in the same index loop.  The acceptance limit is known before
+         the objective runs, so the objective gets it as [bound]: a
+         trial that cannot pass may stop evaluating early, and any
+         value above [min limit f_ref] is rejected below either way. *)
+      let cand = Array.make n 0. in
       let rec backtrack step tries =
         if tries = 0 then None
         else begin
-          let cand =
-            project ~lower ~upper (Array.mapi (fun i xi -> xi -. (step *. g.(i))) !x)
-          in
-          let fc = f cand in
-          let decrease =
-            Array.to_list (Array.mapi (fun i ci -> g.(i) *. (!x.(i) -. ci)) cand)
-            |> List.fold_left ( +. ) 0.
-          in
-          if fc <= f_ref -. (options.armijo *. decrease) && fc < f_ref then Some (cand, fc)
+          let decrease = ref 0. in
+          for i = 0 to n - 1 do
+            let ci = Futil.clamp ~lo:lower.(i) ~hi:upper.(i) (xk.(i) -. (step *. g.(i))) in
+            cand.(i) <- ci;
+            decrease := !decrease +. (g.(i) *. (xk.(i) -. ci))
+          done;
+          let limit = f_ref -. (options.armijo *. !decrease) in
+          let fc = f ~bound:(Float.min limit f_ref) cand in
+          if fc <= limit && fc < f_ref then Some fc
           else backtrack (step *. options.step_shrink) (tries - 1)
         end
       in
       match backtrack step0 60 with
-      | Some (cand, fc) ->
+      | Some fc ->
           if options.bb then begin
-            prev := Some (Array.copy !x, g);
+            prev := Some (xk, g);
             recent_f := fc :: List.filteri (fun i _ -> i < bb_history - 1) !recent_f
           end;
           x := cand;

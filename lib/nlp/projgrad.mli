@@ -30,7 +30,7 @@ type result = {
 
 val minimize :
   ?options:options ->
-  f:(float array -> float) ->
+  f:(bound:float -> float array -> float) ->
   ?grad:(float array -> float array) ->
   lower:float array ->
   upper:float array ->
@@ -38,5 +38,14 @@ val minimize :
   unit ->
   result
 (** Gradient defaults to central differences.  [x0] is projected into
-    the box before starting.  @raise Invalid_argument on dimension
-    mismatch or an empty box. *)
+    the box before starting.
+
+    [f ~bound x] is the objective under a cutoff.  The contract: when
+    the true value at [x] is [<= bound] the result is exactly that
+    value; otherwise it is any value [> bound].  Each backtracking try
+    passes the tightest bound its accept test needs, so an objective
+    that stops summing once it is past [bound] changes no iterate.  An
+    objective that ignores [bound] always meets the contract.  The
+    first evaluation and the central-difference gradient pass
+    [infinity].
+    @raise Invalid_argument on dimension mismatch or an empty box. *)

@@ -6,6 +6,7 @@ let make ~a ~b ~iv ~dist =
   if a < 0 || b < 0 then invalid_arg "Contact.make: negative node id";
   if a = b then invalid_arg "Contact.make: self-contact";
   if dist <= 0. then invalid_arg "Contact.make: non-positive distance";
+  if not (Float.is_finite dist) then invalid_arg "Contact.make: non-finite distance";
   let a, b = if a < b then (a, b) else (b, a) in
   { a; b; iv; dist }
 

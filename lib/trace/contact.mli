@@ -12,7 +12,7 @@ type t = private { a : int; b : int; iv : Interval.t; dist : float }
 
 val make : a:int -> b:int -> iv:Interval.t -> dist:float -> t
 (** Normalised so that [a < b].  @raise Invalid_argument on [a = b],
-    negative ids, or non-positive distance. *)
+    negative ids, or a non-positive or non-finite (NaN, ∞) distance. *)
 
 val duration : t -> float
 val involves : t -> int -> bool

@@ -665,6 +665,42 @@ let test_fr_lognormal_channel () =
   let r = run_fr `Eedcb p in
   check_bool "lognormal feasible" true r.Planner.Outcome.report.Feasibility.feasible
 
+(* Allocated costs, bit for bit ("%h"), for every FR backbone under
+   each fading channel on the quickstart instance, recorded before the
+   NLP's objective evaluation was reworked.  The fig6 golden covers only
+   cold Rayleigh solves; the Nakagami and log-normal rows go through the
+   numeric-difference derivative. *)
+let test_fr_costs_pinned () =
+  List.iter
+    (fun ((channel, channel_name), (backbone, name), expected) ->
+      let p = quickstart_problem ~channel () in
+      let costs = (fr_alloc (run_fr backbone p)).Fr.costs in
+      Alcotest.(check string) (name ^ " " ^ channel_name) expected
+        (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") costs))))
+    [
+      ( (`Rayleigh, "Rayleigh"),
+        (`Eedcb, "FR-EEDCB"),
+        "0x1.433415143d52p-23 0x1.433415143c59cp-25 0x1.9db34e2e62a7ep-26" );
+      ((`Rayleigh, "Rayleigh"), (`Greedy, "FR-GREED"), "0x1.433415143d052p-23 0x1.1f4abd67523bdp-22");
+      ( (`Rayleigh, "Rayleigh"),
+        (`Random, "FR-RAND"),
+        "0x1.1f4abd6d5ec33p-26 0x1.a6f4e51a8d51ep-27 0x1.433415143c58dp-25 0x1.26f2e68c5f097p-26" );
+      ( (`Nakagami 2., "Nakagami 2"),
+        (`Eedcb, "FR-EEDCB"),
+        "0x1.5ddb3ccb35453p-26 0x1.5ddb3ccb34df2p-28 0x1.bfd0f1a7f2369p-29" );
+      ((`Nakagami 2., "Nakagami 2"), (`Greedy, "FR-GREED"), "0x1.5ddb3ccb35453p-26 0x1.36fbc442d96dbp-25");
+      ( (`Nakagami 2., "Nakagami 2"),
+        (`Random, "FR-RAND"),
+        "0x1.86e9561884f8dp-28 0x1.86e9561884f8dp-28 0x1.5b7a13a5639fep-27 0x1.5b7a13a5639fep-27" );
+      ( (`Lognormal 1.84, "Lognormal 1.84"),
+        (`Eedcb, "FR-EEDCB"),
+        "0x1.d58afd06b3515p-24 0x1.d58afd06b27cap-26 0x1.2c81e99de2ed1p-26" );
+      ((`Lognormal 1.84, "Lognormal 1.84"), (`Greedy, "FR-GREED"), "0x1.d58afd06b3515p-24 0x1.a15f19cd106a9p-23");
+      ( (`Lognormal 1.84, "Lognormal 1.84"),
+        (`Random, "FR-RAND"),
+        "0x1.12af9f1ae4a31p-26 0x1.12af9f1ae4a31p-26 0x1.e854a9135cd5fp-26 0x1.e854a9135cd5fp-26" );
+    ]
+
 (* Regression: with τ = 0 two same-instant transmissions can cover
    each other's relays; Eq. 16 read as plain "t_k <= t_j" lets the NLP
    zero out the source's transmission and rely on the cycle.  The
@@ -1318,6 +1354,7 @@ let () =
           tc "same-instant cycle regression" test_fr_same_instant_cycle;
           tc "unfireable relays reported" test_fr_unfireable_relays_reported;
           QCheck_alcotest.to_alcotest prop_fr_allocation_feasible;
+          tc "costs pinned per channel" test_fr_costs_pinned;
         ] );
       ( "static_bip",
         [

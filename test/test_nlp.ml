@@ -52,10 +52,15 @@ let test_bisect_least_satisfying () =
 (* ------------------------------------------------------------------ *)
 (* Projgrad *)
 
+(* An objective that ignores [Projgrad.minimize]'s cutoff, which always
+   meets the bound contract. *)
+let unbounded f ~bound:_ x = f x
+
 let test_projgrad_unconstrained_quadratic () =
   let f x = ((x.(0) -. 3.) ** 2.) +. ((x.(1) +. 1.) ** 2.) in
   let r =
-    Projgrad.minimize ~f ~lower:[| -10.; -10. |] ~upper:[| 10.; 10. |] ~x0:[| 0.; 0. |] ()
+    Projgrad.minimize ~f:(unbounded f) ~lower:[| -10.; -10. |] ~upper:[| 10.; 10. |]
+      ~x0:[| 0.; 0. |] ()
   in
   close ~tol:1e-4 "x0 -> 3" 3. r.Projgrad.x.(0);
   close ~tol:1e-4 "x1 -> -1" (-1.) r.Projgrad.x.(1);
@@ -64,12 +69,12 @@ let test_projgrad_unconstrained_quadratic () =
 let test_projgrad_active_bound () =
   (* Unconstrained optimum at x = 5; box caps at 2. *)
   let f x = (x.(0) -. 5.) ** 2. in
-  let r = Projgrad.minimize ~f ~lower:[| 0. |] ~upper:[| 2. |] ~x0:[| 1. |] () in
+  let r = Projgrad.minimize ~f:(unbounded f) ~lower:[| 0. |] ~upper:[| 2. |] ~x0:[| 1. |] () in
   close ~tol:1e-6 "clamped" 2. r.Projgrad.x.(0)
 
 let test_projgrad_projects_x0 () =
   let f x = x.(0) ** 2. in
-  let r = Projgrad.minimize ~f ~lower:[| 1. |] ~upper:[| 3. |] ~x0:[| 100. |] () in
+  let r = Projgrad.minimize ~f:(unbounded f) ~lower:[| 1. |] ~upper:[| 3. |] ~x0:[| 100. |] () in
   check_bool "stays in box" true (1. <= r.Projgrad.x.(0) && r.Projgrad.x.(0) <= 3.);
   close ~tol:1e-6 "lands on lower bound" 1. r.Projgrad.x.(0)
 
@@ -77,7 +82,8 @@ let test_projgrad_analytic_gradient () =
   let f x = (x.(0) ** 2.) +. (x.(1) ** 2.) in
   let grad x = [| 2. *. x.(0); 2. *. x.(1) |] in
   let r =
-    Projgrad.minimize ~f ~grad ~lower:[| -5.; -5. |] ~upper:[| 5.; 5. |] ~x0:[| 3.; -4. |] ()
+    Projgrad.minimize ~f:(unbounded f) ~grad ~lower:[| -5.; -5. |] ~upper:[| 5.; 5. |]
+      ~x0:[| 3.; -4. |] ()
   in
   close ~tol:1e-5 "origin x" 0. r.Projgrad.x.(0);
   close ~tol:1e-5 "origin y" 0. r.Projgrad.x.(1)
@@ -88,7 +94,7 @@ let test_projgrad_rosenbrock_descends () =
     (100. *. ((x.(1) -. (x.(0) ** 2.)) ** 2.)) +. ((1. -. x.(0)) ** 2.)
   in
   let x0 = [| -1.2; 1. |] in
-  let r = Projgrad.minimize ~f ~lower:[| -2.; -2. |] ~upper:[| 2.; 2. |] ~x0 () in
+  let r = Projgrad.minimize ~f:(unbounded f) ~lower:[| -2.; -2. |] ~upper:[| 2.; 2. |] ~x0 () in
   check_bool "improved" true (r.Projgrad.f < f x0)
 
 let test_projgrad_bb_matches_monotone () =
@@ -99,7 +105,7 @@ let test_projgrad_bb_matches_monotone () =
   let solve bb =
     Projgrad.minimize
       ~options:{ Projgrad.default_options with Projgrad.bb }
-      ~f ~grad ~lower:[| -10.; -10. |] ~upper:[| 10.; 10. |] ~x0:[| 0.; 0. |] ()
+      ~f:(unbounded f) ~grad ~lower:[| -10.; -10. |] ~upper:[| 10.; 10. |] ~x0:[| 0.; 0. |] ()
   in
   let plain = solve false and bb = solve true in
   close ~tol:1e-4 "bb x0 -> 3" 3. bb.Projgrad.x.(0);
@@ -117,7 +123,7 @@ let test_projgrad_bb_respects_bounds () =
   let r =
     Projgrad.minimize
       ~options:{ Projgrad.default_options with Projgrad.bb = true }
-      ~f ~lower:[| 0. |] ~upper:[| 2. |] ~x0:[| 1. |] ()
+      ~f:(unbounded f) ~lower:[| 0. |] ~upper:[| 2. |] ~x0:[| 1. |] ()
   in
   check_bool "stays in box" true (0. <= r.Projgrad.x.(0) && r.Projgrad.x.(0) <= 2.);
   close ~tol:1e-6 "clamped" 2. r.Projgrad.x.(0)
@@ -125,7 +131,9 @@ let test_projgrad_bb_respects_bounds () =
 let test_projgrad_dimension_mismatch () =
   Alcotest.check_raises "mismatch" (Invalid_argument "Projgrad.minimize: dimension mismatch")
     (fun () ->
-      ignore (Projgrad.minimize ~f:(fun _ -> 0.) ~lower:[| 0. |] ~upper:[| 1.; 2. |] ~x0:[| 0. |] ()))
+      ignore
+        (Projgrad.minimize ~f:(unbounded (fun _ -> 0.)) ~lower:[| 0. |] ~upper:[| 1.; 2. |]
+           ~x0:[| 0. |] ()))
 
 (* ------------------------------------------------------------------ *)
 (* Nlp (penalty solver) *)
@@ -199,6 +207,114 @@ let prop_nlp_in_box =
       let r = Nlp.solve simple_problem ~x0:[| a; b |] in
       Array.for_all (fun x -> -1e-12 <= x && x <= 1. +. 1e-12) r.Nlp.x)
 
+(* ------------------------------------------------------------------ *)
+(* The bound contract between Projgrad and the penalty objective *)
+
+(* A random box-constrained penalty problem: a positive linear
+   objective under covering constraints b - Σ a_j x_j <= 0, some with
+   squared variables, and a penalty weight spanning the solver's
+   schedule (10 up to 10·8^6). *)
+type penalty_case = {
+  weights : float array;
+  rows : (float array * float * bool) list;  (** (a, b, squared) *)
+  mu : float;
+  lower : float array;
+  upper : float array;
+  x0 : float array;
+}
+
+let gen_penalty_case =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun n ->
+  let vec lo hi = array_size (return n) (float_range lo hi) in
+  vec 0.1 2. >>= fun weights ->
+  list_size (int_range 1 6) (triple (vec 0. 2.) (float_range 0. 3.) bool) >>= fun rows ->
+  float_range 1. 7. >>= fun log_mu ->
+  vec (-1.) 1. >>= fun lower ->
+  vec 0. 3. >>= fun width ->
+  vec (-2.) 4. >>= fun x0 ->
+  return { weights; rows; mu = 10. ** log_mu; lower; upper = Array.map2 ( +. ) lower width; x0 }
+
+let print_penalty_case c =
+  let vec v = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") v)) in
+  Printf.sprintf "weights [%s] mu %h lower [%s] upper [%s] x0 [%s] rows %s" (vec c.weights) c.mu
+    (vec c.lower) (vec c.upper) (vec c.x0)
+    (String.concat " "
+       (List.map (fun (a, b, sq) -> Printf.sprintf "([%s] %h %b)" (vec a) b sq) c.rows))
+
+let penalty_problem c =
+  let row (a, b, squared) x =
+    let acc = ref b in
+    Array.iteri (fun j aj -> acc := !acc -. (aj *. if squared then x.(j) *. x.(j) else x.(j))) a;
+    !acc
+  in
+  {
+    Nlp.objective =
+      (fun x ->
+        let acc = ref 0. in
+        Array.iteri (fun j w -> acc := !acc +. (w *. x.(j))) c.weights;
+        !acc);
+    objective_grad = None;
+    constraints = List.map (fun r -> { Nlp.g = row r; g_grad = None; label = "row" }) c.rows;
+    lower = c.lower;
+    upper = c.upper;
+  }
+
+let arb_penalty_case = QCheck.make ~print:print_penalty_case gen_penalty_case
+let bits = Int64.bits_of_float
+
+let prop_bound_keeps_iterates =
+  QCheck.Test.make ~name:"honouring the bound keeps iterates bit-identical" ~count:200
+    arb_penalty_case (fun c ->
+      let problem = penalty_problem c in
+      List.for_all
+        (fun bb ->
+          let run f =
+            Projgrad.minimize
+              ~options:{ Projgrad.default_options with Projgrad.max_iter = 60; bb }
+              ~f ~lower:c.lower ~upper:c.upper ~x0:c.x0 ()
+          in
+          let honoured = run (Nlp.penalized problem ~mu:c.mu) in
+          let ignored =
+            run (fun ~bound:_ x -> Nlp.penalized problem ~mu:c.mu ~bound:Float.infinity x)
+          in
+          Array.for_all2 (fun a b -> bits a = bits b) honoured.Projgrad.x ignored.Projgrad.x
+          && bits honoured.Projgrad.f = bits ignored.Projgrad.f
+          && honoured.Projgrad.iterations = ignored.Projgrad.iterations
+          && honoured.Projgrad.converged = ignored.Projgrad.converged)
+        [ false; true ])
+
+(* The contract itself: exact at or below the bound, above it
+   otherwise.  Bounds are drawn across the range the partial sums
+   cover, so the early return fires at every constraint position. *)
+let prop_penalized_contract =
+  QCheck.Test.make ~name:"penalized meets the bound contract" ~count:500
+    (QCheck.triple arb_penalty_case (QCheck.float_range 0. 1.) (QCheck.float_range (-0.2) 1.2))
+    (fun (c, s, t) ->
+      let problem = penalty_problem c in
+      let x = Array.mapi (fun j lo -> lo +. (s *. (c.upper.(j) -. lo))) c.lower in
+      let full = Nlp.penalized problem ~mu:c.mu ~bound:Float.infinity x in
+      let base = problem.Nlp.objective x in
+      let bound = base +. (t *. (full -. base)) in
+      let r = Nlp.penalized problem ~mu:c.mu ~bound x in
+      if full <= bound then bits r = bits full else r > bound)
+
+let test_penalized_stops_past_bound () =
+  let p =
+    {
+      simple_problem with
+      Nlp.objective = (fun _ -> 0.);
+      constraints =
+        [
+          { Nlp.g = (fun _ -> 1.); g_grad = None; label = "first" };
+          { Nlp.g = (fun _ -> failwith "summed past the bound"); g_grad = None; label = "second" };
+        ];
+    }
+  in
+  close "partial value" 1. (Nlp.penalized p ~mu:1. ~bound:0.5 [| 0.; 0. |]);
+  Alcotest.check_raises "mu > 0" (Invalid_argument "Nlp.penalized: mu must be > 0") (fun () ->
+      ignore (Nlp.penalized simple_problem ~mu:0. ~bound:Float.infinity [| 0.; 0. |]))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "nlp"
@@ -234,5 +350,11 @@ let () =
           tc "max violation" test_nlp_max_violation;
           tc "circle constraint" test_nlp_circle_constraint;
           QCheck_alcotest.to_alcotest prop_nlp_in_box;
+        ] );
+      ( "bound",
+        [
+          tc "stops past the bound" test_penalized_stops_past_bound;
+          QCheck_alcotest.to_alcotest prop_penalized_contract;
+          QCheck_alcotest.to_alcotest prop_bound_keeps_iterates;
         ] );
     ]

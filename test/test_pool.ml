@@ -152,7 +152,10 @@ let test_fig4_bit_identical () =
 
 (* Fig. 5 exercises the warm chains (fading variant → FR planners →
    warm-started NLP): its values must still not depend on the worker
-   count, since each (algorithm, source) chain is one pool task. *)
+   count, since each (algorithm, source) chain is one pool task.  The
+   reference series itself is pinned by a digest recorded before the
+   NLP's objective evaluation was reworked: it is the one golden that
+   runs the Barzilai–Borwein (nonmonotone) acceptance branch. *)
 let test_fig5_bit_identical () =
   let run pool =
     Experiment.fig5 ~config:tiny ?pool ~variant:`Fading ~deadlines:[ 800.; 1200. ] ()
@@ -160,6 +163,9 @@ let test_fig5_bit_identical () =
   let reference = run None in
   check_bool "reference is non-trivial" true
     (List.exists (fun s -> s.Experiment.points <> []) reference);
+  Alcotest.(check string)
+    "reference digest" "453e69f7e90960a25aeb7ee5a968033f"
+    (Digest.to_hex (Digest.string (Marshal.to_string reference [])));
   List.iter
     (fun k ->
       Pool.with_pool ~num_domains:k (fun pool ->

@@ -21,7 +21,21 @@ let test_contact_validation () =
   Alcotest.check_raises "self" (Invalid_argument "Contact.make: self-contact") (fun () ->
       ignore (Contact.make ~a:1 ~b:1 ~iv:(iv 0. 1.) ~dist:1.));
   Alcotest.check_raises "distance" (Invalid_argument "Contact.make: non-positive distance")
-    (fun () -> ignore (Contact.make ~a:0 ~b:1 ~iv:(iv 0. 1.) ~dist:0.))
+    (fun () -> ignore (Contact.make ~a:0 ~b:1 ~iv:(iv 0. 1.) ~dist:0.));
+  Alcotest.check_raises "NaN distance" (Invalid_argument "Contact.make: non-finite distance")
+    (fun () -> ignore (Contact.make ~a:0 ~b:1 ~iv:(iv 0. 1.) ~dist:Float.nan))
+
+(* Scanf's %f reads an out-of-range literal as ±∞: the loader must
+   reject it at the line, not hand an infinite distance to the
+   planners. *)
+let test_csv_infinite_distance () =
+  List.iter
+    (fun (dist, message) ->
+      match Trace.of_csv (Printf.sprintf "0,1,10,3000,%s\n" dist) with
+      | Error e ->
+          Alcotest.(check string) dist ("line 1: Contact.make: " ^ message) e
+      | Ok _ -> Alcotest.fail ("accepted distance " ^ dist))
+    [ ("1e400", "non-finite distance"); ("-1e400", "non-positive distance") ]
 
 let test_contact_ends () =
   let c = Contact.make ~a:1 ~b:4 ~iv:(iv 0. 1.) ~dist:1. in
@@ -287,6 +301,7 @@ let () =
           tc "roundtrip" test_csv_roundtrip;
           tc "headerless" test_csv_headerless;
           tc "bad line" test_csv_bad_line;
+          tc "infinite distance" test_csv_infinite_distance;
           tc "comments/blanks" test_csv_comments_and_blanks;
           tc "save/load" test_save_load;
           QCheck_alcotest.to_alcotest prop_synth_csv_roundtrip;
