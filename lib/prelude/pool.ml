@@ -151,16 +151,14 @@ let default_chunk_override () =
    *slower* than sequential.  The pool therefore enlarges the minor
    heap of every participating domain (workers at spawn, the caller at
    create): fewer, larger collections amortize the handshake, and GC
-   sizing cannot affect results.  TMEDB_MINOR_HEAP overrides the
-   target in words; 0 disables the enlargement. *)
-let minor_heap_target_words () =
-  let default = 2 * 1024 * 1024 in
-  match Sys.getenv_opt "TMEDB_MINOR_HEAP" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some w when w >= 0 -> w
-      | Some _ | None -> default)
-  | None -> default
+   sizing cannot affect results.  The target is a measured compromise:
+   a minor heap that allocation cycles through is resident in full on
+   every domain, so each extra word costs peak RSS.  On a shared
+   2-vCPU host, 2M words added ~16 MB to a 2-domain `pareto` run, and
+   the stock heap slowed the caller-side set-up of an in-process
+   figure sweep; 1M words avoided both (EXPERIMENTS.md, "Search
+   core"). *)
+let minor_heap_target_words = 1024 * 1024
 
 (* Returns the previous size when it actually grew the heap (the
    caller restores it at shutdown); never shrinks a larger setting. *)
@@ -225,7 +223,6 @@ let create ?num_domains () =
     | Some k when k >= 1 -> Stdlib.min 128 k
     | Some k -> invalid_arg (Printf.sprintf "Pool.create: num_domains %d < 1" k)
   in
-  let minor_target = minor_heap_target_words () in
   let t =
     {
       size;
@@ -238,7 +235,7 @@ let create ?num_domains () =
       domains = [];
       chunk_override = default_chunk_override ();
       est_ns = Atomic.make 0;
-      caller_minor = (if size > 1 then enlarge_minor_heap minor_target else None);
+      caller_minor = (if size > 1 then enlarge_minor_heap minor_heap_target_words else None);
     }
   in
   (* Minor heap sizes are per-domain and not inherited across spawn:
@@ -246,7 +243,7 @@ let create ?num_domains () =
   t.domains <-
     List.init (size - 1) (fun i ->
         Domain.spawn (fun () ->
-            ignore (enlarge_minor_heap minor_target);
+            ignore (enlarge_minor_heap minor_heap_target_words);
             worker_loop t ~home:i));
   t
 

@@ -56,12 +56,15 @@ val create : ?num_domains:int -> unit -> t
     that does not pass [?chunk] explicitly.
 
     Multi-domain pools also enlarge the minor heap of every
-    participating domain (the caller's is restored by {!shutdown}):
-    the OCaml 5 minor GC is a stop-the-world handshake across domains,
-    and with the stock 256k-word heap that handshake alone makes two
-    allocation-heavy domains on a shared core slower than one.  GC
-    sizing cannot affect results.  [TMEDB_MINOR_HEAP] (words) moves
-    the target; [TMEDB_MINOR_HEAP=0] disables the enlargement.
+    participating domain to 1M words (8 MB; the caller's is restored
+    by {!shutdown}): the OCaml 5 minor GC is a stop-the-world
+    handshake across domains, and with the stock 256k-word heap that
+    handshake alone makes two allocation-heavy domains on a shared
+    core slower than one.  The size is a measured compromise, not a
+    setting: a minor heap that allocation cycles through is resident
+    in full on every domain, so a larger one costs peak RSS (2M words
+    added ~16 MB to a 2-domain [pareto] run).  GC sizing cannot
+    affect results.
     @raise Invalid_argument if [num_domains < 1]. *)
 
 val num_domains : t -> int

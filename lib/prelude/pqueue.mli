@@ -1,27 +1,47 @@
-(** Mutable binary min-heap keyed by float priorities.
+(** Mutable binary min-heap of [int] payloads keyed by [float]
+    priorities, stored unboxed in parallel arrays.
 
-    Used by Dijkstra on the auxiliary graph and by the discrete-event
-    broadcast simulator.  Stale-entry (lazy-deletion) usage is the
-    caller's concern: [push] never updates an existing key. *)
+    Used by Dijkstra on the auxiliary graph, the earliest-arrival
+    journey searches and the static-BIP replay.  Stale-entry
+    (lazy-deletion) usage is the caller's concern: [push] never updates
+    an existing key.
 
-type 'a t
+    Ties are not broken by insertion sequence.  Entries with equal
+    priorities leave in the order the sifts leave them (strict [<],
+    the left child preferred on equal children), which is a
+    deterministic function of the sequence of operations. *)
 
-val create : ?capacity:int -> unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+type t
 
-val push : 'a t -> float -> 'a -> unit
-(** Insert a value with the given priority. *)
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
 
-val peek : 'a t -> (float * 'a) option
+val push : t -> float -> int -> unit
+(** Insert a value with the given priority.  Allocates only when the
+    storage doubles. *)
+
+val min_prio : t -> float
+(** Priority of the minimum entry.
+    @raise Invalid_argument on an empty queue. *)
+
+val min_value : t -> int
+(** Payload of the minimum entry (the one {!min_prio} describes).
+    @raise Invalid_argument on an empty queue. *)
+
+val remove_min : t -> unit
+(** Remove the minimum entry.  With {!min_prio} and {!min_value}, the
+    allocation-free form of {!pop}.
+    @raise Invalid_argument on an empty queue. *)
+
+val peek : t -> (float * int) option
 (** Minimum-priority entry without removing it. *)
 
-val pop : 'a t -> (float * 'a) option
+val pop : t -> (float * int) option
 (** Remove and return the minimum-priority entry. *)
 
-val pop_exn : 'a t -> float * 'a
+val pop_exn : t -> float * int
 (** @raise Invalid_argument on an empty queue. *)
 
-val clear : 'a t -> unit
-val to_sorted_list : 'a t -> (float * 'a) list
-(** Non-destructive: entries in ascending priority order. *)
+val to_sorted_list : t -> (float * int) list
+(** Non-destructive: entries in pop order. *)

@@ -42,35 +42,42 @@ let stop_set_of n targets =
    settled (or the queue empties first — unreachable targets degrade
    gracefully to a full drain).  Returns the number of successful
    relaxations (distance improvements), the per-run distribution
-   measure. *)
+   measure.
+
+   Nothing is allocated per pop: the relaxation closure is built once
+   per drain and reads the vertex being settled from [u].  It reads
+   that vertex's distance from [dist] rather than the popped key: the
+   keys pushed for one vertex strictly decrease and the smallest pops
+   first, so a settled entry's key always equals [dist.(u)], and
+   relaxing [u]'s own edges (weights >= 0) cannot lower [dist.(u)]. *)
 let drain ?stop (vw : Digraph.view) dist pred queue =
   let relaxed = ref 0 in
-  let finished () = match stop with Some s -> s.pending = 0 | None -> false in
-  let rec go () =
-    if not (finished ()) then begin
-      match Pqueue.pop queue with
-      | None -> ()
-      | Some (d, u) ->
-          if d <= dist.(u) then begin
-            Tmedb_obs.Counter.incr c_settled;
-            (match stop with
-            | Some s when s.want.(u) ->
-                s.want.(u) <- false;
-                s.pending <- s.pending - 1
-            | Some _ | None -> ());
-            vw.Digraph.iter_succ u (fun v w ->
-                let nd = d +. w in
-                if nd < dist.(v) then begin
-                  dist.(v) <- nd;
-                  pred.(v) <- u;
-                  incr relaxed;
-                  Pqueue.push queue nd v
-                end)
-          end;
-          go ()
+  let u = ref (-1) in
+  let relax v w =
+    let nd = dist.(!u) +. w in
+    if nd < dist.(v) then begin
+      dist.(v) <- nd;
+      pred.(v) <- !u;
+      incr relaxed;
+      Pqueue.push queue nd v
     end
   in
-  go ();
+  while
+    (match stop with Some s -> s.pending > 0 | None -> true) && not (Pqueue.is_empty queue)
+  do
+    let d = Pqueue.min_prio queue in
+    u := Pqueue.min_value queue;
+    Pqueue.remove_min queue;
+    if d <= dist.(!u) then begin
+      Tmedb_obs.Counter.incr c_settled;
+      (match stop with
+      | Some s when s.want.(!u) ->
+          s.want.(!u) <- false;
+          s.pending <- s.pending - 1
+      | Some _ | None -> ());
+      vw.Digraph.iter_succ !u relax
+    end
+  done;
   !relaxed
 
 let run_multi_view ?targets (vw : Digraph.view) ~sources =

@@ -59,10 +59,11 @@ type terminal_maps = {
   next : int array array;  (* next hop from v toward terminal ti *)
 }
 
-(* [targets] (the candidate intermediates) bounds each per-terminal
-   Dijkstra: only candidate rows of the maps are ever read, so the scan
-   can stop once every candidate is settled.  [rev] is the reversed
-   graph as a view, so a lazily generated reverse adjacency works. *)
+(* [targets] (the candidate intermediates, when restricted) bounds each
+   per-terminal Dijkstra: only candidate rows of the maps are ever
+   read, so the scan can stop once every candidate is settled.  [rev]
+   is the reversed graph as a view, so a lazily generated reverse
+   adjacency works. *)
 let build_terminal_maps ?targets ~rev terminals =
   let tm = Tmedb_obs.Timer.start t_terminal_maps in
   let ids = Array.of_list terminals in
@@ -94,33 +95,58 @@ let path_to_terminal fwd maps ~ti ~v =
   in
   walk v []
 
+(* Per-vertex terminal distances in ascending (distance, terminal
+   index) order: row v holds entries [v * k, v * k + k) of two flat
+   unboxed arrays (this table dominates the level-2 scan's memory
+   traffic).  Only candidate vertices' rows are filled. *)
+type terminal_table = { k : int; term_dist : float array; term_id : int array }
+
+let build_table maps ~nv candidates =
+  let k = Array.length maps.ids in
+  let term_dist = Array.make (nv * k) 0. and term_id = Array.make (nv * k) 0 in
+  Array.iter
+    (fun v ->
+      let base = v * k in
+      (* Insertion sort on (distance, terminal index).  Indices arrive
+         ascending, so a new entry moves past exactly the entries with
+         a strictly larger distance: the order [Array.sort compare]
+         gives on the (distinct) pairs. *)
+      for ti = 0 to k - 1 do
+        let d = maps.dist.(ti).(v) in
+        let j = ref (base + ti) in
+        while !j > base && term_dist.(!j - 1) > d do
+          term_dist.(!j) <- term_dist.(!j - 1);
+          term_id.(!j) <- term_id.(!j - 1);
+          decr j
+        done;
+        term_dist.(!j) <- d;
+        term_id.(!j) <- ti
+      done)
+    candidates;
+  { k; term_dist; term_id }
+
 type candidate = { cand_edges : (int * int * float) list; cand_cost : float; cand_terms : int list }
 
-(* A_1: shortest paths from v to the [need] nearest remaining terminals. *)
-let a1_candidate fwd maps ~need ~v ~remaining =
-  let reachable = ref [] in
-  Array.iteri
-    (fun ti alive -> if alive && Float.is_finite maps.dist.(ti).(v) then
-        reachable := (maps.dist.(ti).(v), ti) :: !reachable)
-    remaining;
-  let sorted = List.sort compare !reachable in
-  let chosen = List.filteri (fun i _ -> i < need) sorted in
+(* A_1: shortest paths from v to the [need] nearest remaining terminals,
+   read off v's table row. *)
+let a1_candidate fwd maps ~table ~need ~v ~remaining =
+  let base = v * table.k in
+  let chosen = ref [] and taken = ref 0 and j = ref 0 in
+  while !taken < need && !j < table.k && Float.is_finite table.term_dist.(base + !j) do
+    let ti = table.term_id.(base + !j) in
+    if remaining.(ti) then begin
+      chosen := ti :: !chosen;
+      incr taken
+    end;
+    incr j
+  done;
+  let chosen = List.rev !chosen in
   if chosen = [] then None
   else begin
     let set = Edge_set.create fwd.Digraph.nv in
-    List.iter (fun (_, ti) -> Edge_set.add_list set (path_to_terminal fwd maps ~ti ~v)) chosen;
-    Some
-      {
-        cand_edges = Edge_set.to_list set;
-        cand_cost = Edge_set.cost set;
-        cand_terms = List.map snd chosen;
-      }
+    List.iter (fun ti -> Edge_set.add_list set (path_to_terminal fwd maps ~ti ~v)) chosen;
+    Some { cand_edges = Edge_set.to_list set; cand_cost = Edge_set.cost set; cand_terms = chosen }
   end
-
-(* Per-vertex terminal distances in ascending order, stored as
-   parallel unboxed arrays (this table dominates the level-2 scan's
-   memory traffic). *)
-type terminal_table = { term_dist : float array array; term_id : int array array }
 
 (* Fast level-2 scan: for every candidate intermediate vertex u and
    every count cnt <= need, the density of [path tree->u] + [A_1(cnt,
@@ -130,21 +156,21 @@ let scan_level2 ~candidates ~dist_v ~remaining ~need ~table =
   let best_density = ref Float.infinity in
   let best = ref None in
   let ncand = Array.length candidates in
+  let k = table.k in
   for c = 0 to ncand - 1 do
     let u = candidates.(c) in
     let du = dist_v.(u) in
     if Float.is_finite du then begin
-      let dists = table.term_dist.(u) and ids = table.term_id.(u) in
+      let base = u * k in
       let sum = ref du in
       let cnt = ref 0 in
-      let k = ref 0 in
-      let len = Array.length dists in
+      let j = ref 0 in
       let continue = ref true in
-      while !continue && !k < len do
-        let d = dists.(!k) in
+      while !continue && !j < k do
+        let d = table.term_dist.(base + !j) in
         if not (Float.is_finite d) then continue := false
         else begin
-          if remaining.(ids.(!k)) then begin
+          if remaining.(table.term_id.(base + !j)) then begin
             sum := !sum +. d;
             incr cnt;
             let density = !sum /. float_of_int !cnt in
@@ -154,7 +180,7 @@ let scan_level2 ~candidates ~dist_v ~remaining ~need ~table =
             end;
             if !cnt >= need then continue := false
           end;
-          incr k
+          incr j
         end
       done
     end
@@ -166,8 +192,8 @@ let scan_level2 ~candidates ~dist_v ~remaining ~need ~table =
    partial tree (multi-source Dijkstra), not only to the call root —
    a strict improvement over connecting every pick at [v] since merged
    path segments are paid once and inform later picks. *)
-let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~rounds =
-  if level <= 1 then a1_candidate fwd maps ~need ~v ~remaining
+let rec build_candidate fwd maps ~candidates ~targets ~table ~level ~need ~v ~remaining ~rounds =
+  if level <= 1 then a1_candidate fwd maps ~table ~need ~v ~remaining
   else begin
     let remaining = Array.copy remaining in
     let set = Edge_set.create fwd.Digraph.nv in
@@ -180,8 +206,7 @@ let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~
        added (distances only decrease).  Only candidate vertices are
        ever read from this result (the scans and the connect walk), so
        the relaxation may stop once all candidates are settled. *)
-    let targets = Array.to_list candidates in
-    let tree_dist = Dijkstra.run_multi_view fwd ~sources:[ v ] ~targets in
+    let tree_dist = Dijkstra.run_multi_view fwd ~sources:[ v ] ?targets in
     while !still_needed > 0 && !progress do
       let dist_v = tree_dist.Dijkstra.dist and pred_v = tree_dist.Dijkstra.pred in
       let pick =
@@ -189,7 +214,7 @@ let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~
           match scan_level2 ~candidates ~dist_v ~remaining ~need:!still_needed ~table with
           | None -> None
           | Some (_, u, cnt) -> (
-              match a1_candidate fwd maps ~need:cnt ~v:u ~remaining with
+              match a1_candidate fwd maps ~table ~need:cnt ~v:u ~remaining with
               | None -> None
               | Some sub -> Some (u, sub))
         end
@@ -201,8 +226,8 @@ let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~
               if Float.is_finite dist_v.(u) then
               for cnt = 1 to !still_needed do
                 match
-                  build_candidate fwd maps ~candidates ~table ~level:(level - 1) ~need:cnt ~v:u
-                    ~remaining ~rounds
+                  build_candidate fwd maps ~candidates ~targets ~table ~level:(level - 1)
+                    ~need:cnt ~v:u ~remaining ~rounds
                 with
                 | None -> ()
                 | Some sub ->
@@ -254,7 +279,7 @@ let rec build_candidate fwd maps ~candidates ~table ~level ~need ~v ~remaining ~
           in
           note_edges (connect u []);
           note_edges sub.cand_edges;
-          Dijkstra.refine_view fwd tree_dist ~new_sources:!fresh ~targets;
+          Dijkstra.refine_view fwd tree_dist ~new_sources:!fresh ?targets;
           List.iter
             (fun ti ->
               if remaining.(ti) then begin
@@ -276,38 +301,28 @@ let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
     (fun t -> if t < 0 || t >= nv then invalid_arg "Dst.solve: terminal out of range")
     terminals;
   let terminals = List.filter (fun t -> t <> root) (List.sort_uniq Int.compare terminals) in
-  let candidates =
+  (* Every Dijkstra stops once the candidates are settled.  Without a
+     restriction there is no stop set at all: one over every vertex
+     fires only when all are settled, after which every queued entry
+     is stale, so the full drain is identical. *)
+  let candidates, targets =
     match candidates with
-    | None -> Array.init nv (fun v -> v)
+    | None -> (Array.init nv (fun v -> v), None)
     | Some cs ->
         List.iter
           (fun c -> if c < 0 || c >= nv then invalid_arg "Dst.solve: candidate out of range")
           cs;
         (* The root and the terminals must stay eligible. *)
-        Array.of_list (List.sort_uniq Int.compare ((root :: terminals) @ cs))
+        let cs = List.sort_uniq Int.compare ((root :: terminals) @ cs) in
+        (Array.of_list cs, Some cs)
   in
-  let maps = build_terminal_maps ~targets:(Array.to_list candidates) ~rev terminals in
+  let maps = build_terminal_maps ?targets ~rev terminals in
   let k = Array.length maps.ids in
-  (* For each vertex, terminal distances ascending: the A_1 lookup
-     table used by the level-2 scan. *)
-  let table =
-    (* Only candidate vertices are scanned, so only they need rows. *)
-    let term_dist = Array.make nv [||] and term_id = Array.make nv [||] in
-    let scratch = Array.init k (fun ti -> (0., ti)) in
-    Array.iter
-      (fun v ->
-        for ti = 0 to k - 1 do
-          scratch.(ti) <- (maps.dist.(ti).(v), ti)
-        done;
-        Array.sort compare scratch;
-        term_dist.(v) <- Array.map fst scratch;
-        term_id.(v) <- Array.map snd scratch)
-      candidates;
-    { term_dist; term_id }
-  in
+  let table = build_table maps ~nv candidates in
   let remaining = Array.make k true in
   let result =
-    build_candidate fwd maps ~candidates ~table ~level ~need:k ~v:root ~remaining ~rounds
+    build_candidate fwd maps ~candidates ~targets ~table ~level ~need:k ~v:root ~remaining
+      ~rounds
   in
   let covered_tis = match result with None -> [] | Some c -> c.cand_terms in
   let covered = List.sort Int.compare (List.map (fun ti -> maps.ids.(ti)) covered_tis) in

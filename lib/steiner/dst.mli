@@ -34,10 +34,11 @@ val solve :
     [candidates] restricts the intermediate vertices the greedy rounds
     may branch from (the root and terminals are always kept eligible).
     Paths realised by each pick still run through every vertex; the
-    restriction only prunes the density scan.  The TMEDB auxiliary
-    graph passes its wait vertices here — level-chain vertices are
-    dominated as branch points by the wait vertex that precedes
-    them — cutting the scan cost several-fold. *)
+    restriction prunes the density scan, and every Dijkstra of the
+    solve stops once the candidates are settled.  No TMEDB planner
+    passes it: [Eedcb] solves with every vertex a candidate, so its
+    searches drain the whole graph.  Passing every vertex gives the
+    same result as passing none. *)
 
 val solve_views :
   ?level:int ->

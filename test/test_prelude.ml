@@ -359,11 +359,11 @@ let prop_canonical_form =
 
 let test_pqueue_ordering () =
   let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3., "c"); (1., "a"); (2., "b") ];
-  Alcotest.(check (option (pair (float 0.) string))) "min" (Some (1., "a")) (Pqueue.peek q);
+  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3., 30); (1., 10); (2., 20) ];
+  Alcotest.(check (option (pair (float 0.) int))) "min" (Some (1., 10)) (Pqueue.peek q);
   check_int "size" 3 (Pqueue.length q);
   let order = List.map snd (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order;
+  Alcotest.(check (list int)) "sorted" [ 10; 20; 30 ] order;
   check_int "non-destructive" 3 (Pqueue.length q)
 
 let test_pqueue_pop_empty () =
@@ -376,7 +376,7 @@ let test_pqueue_random_stress () =
   let g = Rng.create 61 in
   let q = Pqueue.create () in
   let values = Array.init 2000 (fun _ -> Rng.unit_float g) in
-  Array.iter (fun v -> Pqueue.push q v v) values;
+  Array.iteri (fun i v -> Pqueue.push q v i) values;
   let drained = ref [] in
   let rec drain () =
     match Pqueue.pop q with
@@ -393,9 +393,98 @@ let test_pqueue_random_stress () =
 
 let test_pqueue_duplicates () =
   let q = Pqueue.create () in
-  Pqueue.push q 1. "x";
-  Pqueue.push q 1. "y";
+  Pqueue.push q 1. 1;
+  Pqueue.push q 1. 2;
   check_int "both kept" 2 (Pqueue.length q)
+
+(* The polymorphic swap-based heap [Pqueue] replaced, kept verbatim as
+   the reference for its pop order. *)
+module Ref_heap = struct
+  type 'a entry = { prio : float; value : 'a }
+  type 'a t = { mutable data : 'a entry array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
+
+  let grow q entry =
+    let cap = Array.length q.data in
+    if q.size = cap then begin
+      let ncap = Stdlib.max 16 (2 * cap) in
+      let ndata = Array.make ncap entry in
+      Array.blit q.data 0 ndata 0 q.size;
+      q.data <- ndata
+    end
+
+  let rec sift_up data i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if data.(i).prio < data.(parent).prio then begin
+        let tmp = data.(i) in
+        data.(i) <- data.(parent);
+        data.(parent) <- tmp;
+        sift_up data parent
+      end
+    end
+
+  let rec sift_down data size i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < size && data.(l).prio < data.(!smallest).prio then smallest := l;
+    if r < size && data.(r).prio < data.(!smallest).prio then smallest := r;
+    if !smallest <> i then begin
+      let tmp = data.(i) in
+      data.(i) <- data.(!smallest);
+      data.(!smallest) <- tmp;
+      sift_down data size !smallest
+    end
+
+  let push q prio value =
+    let entry = { prio; value } in
+    grow q entry;
+    q.data.(q.size) <- entry;
+    q.size <- q.size + 1;
+    sift_up q.data (q.size - 1)
+
+  let pop q =
+    if q.size = 0 then None
+    else begin
+      let top = q.data.(0) in
+      q.size <- q.size - 1;
+      if q.size > 0 then begin
+        q.data.(0) <- q.data.(q.size);
+        sift_down q.data q.size 0
+      end;
+      Some (top.prio, top.value)
+    end
+end
+
+(* Random push/pop interleavings over four keys (heavy ties; infinity
+   included) pop the same (key, payload) sequence from both heaps.
+   Each op is (key index, push?); payloads are op positions, so every
+   tie is visible.  Both heaps are drained at the end. *)
+let prop_pqueue_matches_reference =
+  let keys = [| 0.; 1.5; 2.; Float.infinity |] in
+  QCheck.Test.make ~name:"pops in the reference heap's order" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 400) (pair (int_bound 3) (int_bound 3)))
+    (fun ops ->
+      let q = Pqueue.create () and r = Ref_heap.create () in
+      let same = ref true in
+      let pop_both () =
+        let a = Pqueue.pop q and b = Ref_heap.pop r in
+        if a <> b then same := false;
+        a <> None
+      in
+      List.iteri
+        (fun i (key, op) ->
+          if op = 0 then ignore (pop_both ())
+          else begin
+            Pqueue.push q keys.(key) i;
+            Ref_heap.push r keys.(key) i
+          end)
+        ops;
+      while pop_both () do
+        ()
+      done;
+      !same)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset *)
@@ -646,6 +735,7 @@ let () =
           tc "pop empty" test_pqueue_pop_empty;
           tc "random stress" test_pqueue_random_stress;
           tc "duplicates" test_pqueue_duplicates;
+          QCheck_alcotest.to_alcotest prop_pqueue_matches_reference;
         ] );
       ( "bitset",
         [

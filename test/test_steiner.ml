@@ -237,6 +237,20 @@ let test_dst_candidate_restriction () =
   let full = Dst.solve ~level:2 g ~root:0 ~terminals:[ 1; 2; 3 ] in
   check_bool "restriction never helps" true (full.Dst.tree.Dst.cost <= o.Dst.tree.Dst.cost +. 1e-9)
 
+let test_dst_tie_order () =
+  (* Terminals 2 and 3 are both at distance 2 from the root 1, and the
+     first greedy round connects one of them straight from the root.
+     Equal distances are taken in terminal order, so 2 goes first and
+     3 then also comes from the root.  Taking 3 first would reach 2
+     through 3 -> 0 -> 2 instead: the same cost, other edges. *)
+  let g =
+    Digraph.of_edges ~n:4
+      [ (0, 2, 1.); (0, 3, 2.); (1, 0, 2.); (1, 2, 2.); (1, 3, 2.); (2, 0, 1.); (2, 1, 1.); (3, 0, 1.) ]
+  in
+  let o = Dst.solve ~level:2 g ~root:1 ~terminals:[ 2; 3 ] in
+  Alcotest.(check (list (triple int int (float 0.))))
+    "edges" [ (1, 2, 2.); (1, 3, 2.) ] o.Dst.tree.Dst.edges
+
 (* Random-instance properties: the solution covers every reachable
    terminal, its edges exist in the graph, its cost >= the shortest
    path to the farthest covered terminal (trivial lower bound) and <=
@@ -302,6 +316,78 @@ let prop_dst_pruned_is_arborescence =
       | Ok t -> Arborescence.spans t pruned.Dst.covered
       | Error _ -> false)
 
+(* Random multigraphs built to tie: small integer weights, zero-weight
+   edges, self-loops and a duplicate (parallel) edge for about one edge
+   in four, so pop order among equal keys decides predecessors. *)
+let random_multigraph seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 14 in
+  let weight () = if Rng.unit_float rng < 0.3 then 0. else float_of_int (Rng.int rng 4) in
+  let edges = ref [] in
+  for _ = 1 to Rng.int rng (4 * n) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    edges := (u, v, weight ()) :: !edges;
+    if Rng.unit_float rng < 0.25 then edges := (u, v, weight ()) :: !edges
+  done;
+  (Digraph.of_edges ~n !edges, n, rng)
+
+let c_settled = Tmedb_obs.Counter.make "dijkstra.settled"
+
+(* [f ()] with telemetry on, and the [dijkstra.settled] it added. *)
+let counting_settled f =
+  Tmedb_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tmedb_obs.set_enabled false) (fun () ->
+      let before = Tmedb_obs.Counter.value c_settled in
+      let x = f () in
+      (x, Tmedb_obs.Counter.value c_settled - before))
+
+let same_result a b = a.Dijkstra.dist = b.Dijkstra.dist && a.Dijkstra.pred = b.Dijkstra.pred
+
+(* A stop set over every vertex can only fire once every vertex is
+   settled, when every queued entry is stale: [run_view] and
+   [refine_view] then leave dist, pred and [dijkstra.settled] exactly
+   as without targets (which is why Dst passes none unrestricted). *)
+let prop_dijkstra_all_targets_is_full_drain =
+  QCheck.Test.make ~name:"all-vertex targets = no targets" ~count:300
+    QCheck.small_int (fun seed ->
+      let g, n, rng = random_multigraph seed in
+      let vw = Digraph.view g in
+      let all = List.init n Fun.id in
+      let src = Rng.int rng n in
+      let full, settled_full = counting_settled (fun () -> Dijkstra.run_view vw ~src) in
+      let stop, settled_stop =
+        counting_settled (fun () -> Dijkstra.run_view ~targets:all vw ~src)
+      in
+      let new_sources = List.filter (fun _ -> Rng.unit_float rng < 0.3) all in
+      let copy r = { Dijkstra.dist = Array.copy r.Dijkstra.dist; pred = Array.copy r.Dijkstra.pred } in
+      let refined = copy full and refined_stop = copy full in
+      let (), refine_settled =
+        counting_settled (fun () -> Dijkstra.refine_view vw refined ~new_sources)
+      in
+      let (), refine_settled_stop =
+        counting_settled (fun () ->
+            Dijkstra.refine_view ~targets:all vw refined_stop ~new_sources)
+      in
+      same_result full stop && settled_full = settled_stop
+      && same_result refined refined_stop
+      && refine_settled = refine_settled_stop)
+
+(* Naming every vertex a candidate runs every Dijkstra with a stop set
+   over all vertices; the solve must not notice. *)
+let prop_dst_all_candidates_is_unrestricted =
+  QCheck.Test.make ~name:"all-vertex candidates = no candidates" ~count:300
+    QCheck.small_int (fun seed ->
+      let g, n, rng = random_multigraph (seed + 3000) in
+      let terminals = List.init 5 (fun _ -> Rng.int rng n) in
+      let root = Rng.int rng n in
+      let level = 1 + Rng.int rng 2 in
+      let a = Dst.solve ~level g ~root ~terminals in
+      let b = Dst.solve ~level ~candidates:(List.init n Fun.id) g ~root ~terminals in
+      a.Dst.tree.Dst.edges = b.Dst.tree.Dst.edges
+      && a.Dst.tree.Dst.covered = b.Dst.tree.Dst.covered
+      && a.Dst.uncovered = b.Dst.uncovered
+      && Printf.sprintf "%h" a.Dst.tree.Dst.cost = Printf.sprintf "%h" b.Dst.tree.Dst.cost)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "steiner"
@@ -325,6 +411,7 @@ let () =
           tc "refine" test_dijkstra_refine;
           tc "refine noop" test_dijkstra_refine_noop;
           tc "random vs bellman-ford" test_dijkstra_random_vs_bellman;
+          QCheck_alcotest.to_alcotest prop_dijkstra_all_targets_is_full_drain;
         ] );
       ( "arborescence",
         [
@@ -347,5 +434,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_dst_sound;
           QCheck_alcotest.to_alcotest prop_dst_prune_keeps_coverage;
           QCheck_alcotest.to_alcotest prop_dst_pruned_is_arborescence;
+          QCheck_alcotest.to_alcotest prop_dst_all_candidates_is_unrestricted;
+          tc "tie order" test_dst_tie_order;
         ] );
     ]
