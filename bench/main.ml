@@ -10,7 +10,7 @@
      dune exec bench/main.exe bechamel   -- kernel timings only
      dune exec bench/main.exe baseline   -- parallel baseline only (writes BENCH_1.json)
      dune exec bench/main.exe obs        -- telemetry overhead check (disabled-path cost)
-     dune exec bench/main.exe nscale     -- lazy vs eager aux-graph scaling (add --quick for CI)
+     dune exec bench/main.exe nscale     -- lazy SPT frontier scaling (add --quick for CI)
      dune exec bench/main.exe pareto     -- shared-state deadline sweep vs independent solves (add --quick for CI)
      dune exec bench/main.exe trend      -- metric trajectory across all BENCH_*.json (add --json)
 
@@ -367,12 +367,14 @@ let bechamel_kernels () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* N-scaling: the lazy auxiliary graph against the eager O(N^2 L)
-   build, on the clustered Scale scenarios (docs/SCALING.md).  The
-   cheap-backbone / expensive-meeting structure means a shortest-path
-   scan settles every terminal far below the cost of the deep DCS
-   levels, so the lazy frontier is a small fraction of the vertex
-   universe — which this mode measures and asserts. *)
+(* N-scaling: SPT's scan on the lazy auxiliary graph against EEDCB on
+   the forced O(N^2 L) graph, on the clustered Scale scenarios
+   (docs/SCALING.md).  The cheap-backbone / expensive-meeting structure
+   means a shortest-path scan settles every terminal far below the cost
+   of the deep DCS levels, so the lazy frontier is a small fraction of
+   the vertex universe — which this mode measures and asserts.  The
+   lazy SPT schedule itself is pinned by test_core ("lazy SPT pinned
+   (Scale N=100)"). *)
 
 let nscale_cap = 64
 
@@ -382,9 +384,9 @@ let nscale_problem n =
   Problem.make ~graph ~phy:Tmedb_channel.Phy.default ~channel:`Static ~source:0
     ~deadline:(Tmedb_tveg.Scale.deadline ~params ()) ()
 
-let nscale_outcome ~lazy_aux planner n =
+let nscale_outcome planner n =
   let p = nscale_problem n in
-  let ctx = Planner.Ctx.make ~cap_per_node:nscale_cap ~lazy_aux () in
+  let ctx = Planner.Ctx.make ~cap_per_node:nscale_cap () in
   let t0 = Unix.gettimeofday () in
   let o = Planner.run ~ctx planner p in
   (o, Unix.gettimeofday () -. t0, p)
@@ -397,46 +399,31 @@ let nscale ~quick () =
      so this mode forces telemetry on. *)
   Tmedb_obs.set_enabled true;
   section
-    (Printf.sprintf "N-scaling: lazy aux-graph frontier vs eager build%s"
+    (Printf.sprintf "N-scaling: lazy SPT frontier vs the forced graph%s"
        (if quick then " (quick)" else ""));
   let row label n secs (o : Planner.Outcome.t) p =
     Printf.printf "%-24s %6d %9.2f s %14.1f %10d unreached\n%!" label n secs
       (Metrics.normalized_energy p o.Planner.Outcome.schedule)
       (List.length o.Planner.Outcome.unreached)
   in
-  (* 1. Correctness: eager and lazy SPT agree bit for bit. *)
-  let n_eq = if quick then 60 else 100 in
-  let eager_o, eager_secs, p_eq = nscale_outcome ~lazy_aux:false (alg "SPT") n_eq in
-  let lazy_o, lazy_secs, _ = nscale_outcome ~lazy_aux:true (alg "SPT") n_eq in
-  row "SPT eager" n_eq eager_secs eager_o p_eq;
-  row "SPT lazy" n_eq lazy_secs lazy_o p_eq;
-  if
-    not
-      (Schedule.equal eager_o.Planner.Outcome.schedule lazy_o.Planner.Outcome.schedule
-      && eager_o.Planner.Outcome.unreached = lazy_o.Planner.Outcome.unreached)
-  then begin
-    Printf.eprintf "nscale: lazy SPT diverged from the eager build at N=%d\n" n_eq;
-    exit 1
-  end;
-  Printf.printf "lazy == eager at N=%d: true\n%!" n_eq;
-  (* 2. The eager core for the wall-clock comparison: EEDCB on the
-     fully materialised graph at N=100 (skipped in quick mode). *)
-  let eager_core_secs =
+  (* 1. The wall for the wall-clock comparison: EEDCB on the forced
+     graph at N=100 (skipped in quick mode). *)
+  let wall_secs =
     if quick then None
     else begin
-      let o, secs, p = nscale_outcome ~lazy_aux:false (alg "EEDCB") 100 in
-      row "EEDCB eager (the wall)" 100 secs o p;
+      let o, secs, p = nscale_outcome (alg "EEDCB") 100 in
+      row "EEDCB forced (the wall)" 100 secs o p;
       Some secs
     end
   in
-  (* 3. Lazy SPT up the N curve, frontier cut measured per point; the
+  (* 2. Lazy SPT up the N curve, frontier cut measured per point; the
      10x gate and the unreached check apply to the last (largest) N. *)
   let curve = if quick then [ 300 ] else [ 250; 500; 1000 ] in
   let last =
     List.fold_left
       (fun _ n ->
         let before = Tmedb_obs.snapshot () in
-        let o, secs, p = nscale_outcome ~lazy_aux:true (alg "SPT") n in
+        let o, secs, p = nscale_outcome (alg "SPT") n in
         let after = Tmedb_obs.snapshot () in
         row "SPT lazy" n secs o p;
         let materialized =
@@ -466,14 +453,13 @@ let nscale ~quick () =
   end;
   Option.iter
     (fun wall ->
-      Printf.printf "lazy N=%d %.2f s vs eager-core N=100 %.2f s\n%!" n_big big_secs wall;
+      Printf.printf "lazy SPT N=%d %.2f s vs EEDCB N=100 %.2f s\n%!" n_big big_secs wall;
       if big_secs >= wall then begin
-        Printf.eprintf
-          "nscale: lazy N=%d (%.2f s) is not faster than the eager core at N=100 (%.2f s)\n"
+        Printf.eprintf "nscale: lazy SPT N=%d (%.2f s) is not faster than EEDCB at N=100 (%.2f s)\n"
           n_big big_secs wall;
         exit 1
       end)
-    eager_core_secs
+    wall_secs
 
 (* ------------------------------------------------------------------ *)
 (* Pareto sweep: a deadline grid over one shared Solve_state against
@@ -516,19 +502,17 @@ let pareto_bench ~quick () =
   let npoints = 10 in
   let grid = pareto_grid ~npoints horizon in
   let planner = alg "SPT" in
-  let run ~share ~lazy_aux =
+  let run ~share =
     let before = Tmedb_obs.snapshot () in
     let t0 = Unix.gettimeofday () in
-    let r =
-      Pareto.sweep ?pool:!pool ~share ~lazy_aux ~planner ~deadlines:grid p
-    in
+    let r = Pareto.sweep ?pool:!pool ~share ~planner ~deadlines:grid p in
     let secs = Unix.gettimeofday () -. t0 in
     (r, secs, before, Tmedb_obs.snapshot ())
   in
-  let shared, shared_secs, sb, sa = run ~share:true ~lazy_aux:false in
-  let indep, indep_secs, ib, ia = run ~share:false ~lazy_aux:true in
+  let shared, shared_secs, sb, sa = run ~share:true in
+  let indep, indep_secs, ib, ia = run ~share:false in
   Printf.printf "%-34s %9.2f s\n" "shared solve state (10 points)" shared_secs;
-  Printf.printf "%-34s %9.2f s\n%!" "independent lazy solves" indep_secs;
+  Printf.printf "%-34s %9.2f s\n%!" "independent solves" indep_secs;
   if
     not
       (List.length shared.Pareto.points = List.length indep.Pareto.points
@@ -581,8 +565,7 @@ let pareto_bench ~quick () =
      whole grid under the shared state must cost less than 3 single
      solves. *)
   let t0 = Unix.gettimeofday () in
-  let ctx = Planner.Ctx.make ~lazy_aux:true () in
-  ignore (Planner.run ~ctx planner p);
+  ignore (Planner.run planner p);
   let single_secs = Unix.gettimeofday () -. t0 in
   Printf.printf "single solve %.2f s; %d-point shared grid %.2f s (%.2fx)\n%!" single_secs
     npoints shared_secs
@@ -652,7 +635,7 @@ let baseline_kernels : (string * (Tmedb_prelude.Pool.t option -> float list)) li
          are the kernel's real payload. *)
       fun _pool ->
         let p = nscale_problem 1000 in
-        let ctx = Planner.Ctx.make ~cap_per_node:nscale_cap ~lazy_aux:true () in
+        let ctx = Planner.Ctx.make ~cap_per_node:nscale_cap () in
         let o = Planner.run ~ctx (alg "SPT") p in
         [
           Metrics.normalized_energy p o.Planner.Outcome.schedule;
@@ -760,7 +743,6 @@ let baseline () =
   let doc =
     Json.Obj
       [
-        ("bench_pr", Json.Num 1.);
         ("jobs", Json.Num (float_of_int !jobs));
         ("deterministic", Json.Bool !deterministic);
         ("kernels", Json.List rows);

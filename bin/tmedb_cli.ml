@@ -185,6 +185,32 @@ let load_trace path =
       Printf.eprintf "error loading %s: %s\n" path e;
       exit 2
 
+(* The boundary check of the planning subcommands, run on their
+   arguments before any of them reaches a kernel: every deadline finite
+   and inside the trace span (lo, hi], the source a node of the trace,
+   the Steiner level at least 1.  Bad input exits 2 with a readable
+   message instead of an uncaught exception. *)
+let check_args cmd trace ?level ~source deadlines =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "tmedb_cli %s: %s\n" cmd msg;
+        exit 2)
+      fmt
+  in
+  let span = Tmedb_trace.Trace.span trace in
+  List.iter
+    (fun d ->
+      if Float.is_nan d || d <= span.Interval.lo || d > span.Interval.hi then
+        fail "deadline %g is outside the trace span (%g, %g]" d span.Interval.lo
+          span.Interval.hi)
+    deadlines;
+  let n = Tmedb_trace.Trace.n trace in
+  Option.iter
+    (fun s -> if s < 0 || s >= n then fail "source %d is not a node of the trace [0, %d)" s n)
+    source;
+  Option.iter (fun l -> if l < 1 then fail "level %d is below 1" l) level
+
 let pick_source trace deadline seed = function
   | Some s -> s
   | None -> (
@@ -288,6 +314,7 @@ let run_cmd =
     in
     with_telemetry ?timestamp ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
+    check_args "run" trace ~level ~source [ deadline ];
     let source = pick_source trace deadline seed source in
     let config = { Experiment.default_config with Experiment.seed; steiner_level = level } in
     let result =
@@ -411,6 +438,7 @@ let compare_cmd =
   let run deadline source seed level trials jobs all metrics trace_file profile watchdog path =
     with_telemetry ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
+    check_args "compare" trace ~level ~source [ deadline ];
     let source = pick_source trace deadline seed source in
     let config = { Experiment.default_config with Experiment.seed; steiner_level = level } in
     let algorithms = if all then Registry.all else Registry.paper in
@@ -492,6 +520,7 @@ let simulate_cmd =
       watchdog path =
     with_telemetry ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
+    check_args "simulate" trace ~source [ deadline ];
     let source = pick_source trace deadline seed source in
     let config = { Experiment.default_config with Experiment.seed } in
     let schedule =
@@ -590,13 +619,8 @@ let pareto_cmd =
     in
     with_telemetry ?timestamp ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
+    check_args "pareto" trace ~level ~source grid;
     let hi = List.fold_left Float.max Float.neg_infinity grid in
-    let span = Tmedb_trace.Trace.span trace in
-    if hi > span.Interval.hi then begin
-      Printf.eprintf "tmedb_cli pareto: grid deadline %g is beyond the trace span end %g\n" hi
-        span.Interval.hi;
-      exit 2
-    end;
     let source = pick_source trace hi seed source in
     let config = { Experiment.default_config with Experiment.seed; steiner_level = level } in
     let channel = Planner.design_channel algorithm in

@@ -16,7 +16,13 @@
       guarantees this point exists).
 
     The source vertex is u_{s,0}; terminals are each node's last wait
-    vertex, as in the paper's Fig. 3. *)
+    vertex, as in the paper's Fig. 3.
+
+    One generator decides every vertex's successors: {!Lazy}'s forward
+    rule.  A graph exists in two forms over the same ids and adjacency
+    orders — the lazy view, which generates only the vertices a
+    traversal pops, and the CSR graph {!force} fills by running that
+    rule over the whole universe. *)
 
 open Tmedb_steiner
 
@@ -45,9 +51,11 @@ type t = {
 }
 
 val build : Problem.t -> Tmedb_tveg.Dts.t -> t
-(** Uses the instance's design channel for the DCS costs: static
-    minimum costs under [`Static], single-hop ε-costs under the fading
-    models (the FR backbone of Section VI-B). *)
+(** The forced graph: {!Lazy.create} plus {!force}, with the sizing
+    pass's DCS marginals kept for the forcing pass so each block is
+    queried once.  Uses the instance's design channel for the DCS
+    costs: static minimum costs under [`Static], single-hop ε-costs
+    under the fading models (the FR backbone of Section VI-B). *)
 
 val wait_vertex : t -> node:int -> point_idx:int -> int option
 (** Id of wait vertex u_{node, point_idx}; [None] when the node has no
@@ -70,15 +78,12 @@ val num_level_vertices : t -> int
 
 (** Lazily expanded auxiliary graph (frontier materialisation).
 
-    Same vertex universe, ids, edges and adjacency *orders* as
-    {!build} — bit-identical traversal results — but no edge list, no
-    CSR arrays and no vertex array are ever constructed.  A cheap
-    exact-count pass fixes the id layout up front (wait ids first,
-    then level ids in block order, exactly the eager compact ids);
-    successors are generated on demand from memoised DCS blocks, so
-    only the frontier a traversal actually pops is paid for.  The gap
-    between {!Lazy.num_vertices} and {!Lazy.nodes_materialized} is the
-    saving over the eager O(N²L) build. *)
+    A cheap exact-count pass fixes the id layout up front (wait ids
+    first, then level ids in block order); successors are generated on
+    demand from memoised DCS blocks, so only the frontier a traversal
+    actually pops is paid for.  The gap between {!Lazy.num_vertices}
+    and {!Lazy.nodes_materialized} is the saving over forcing the
+    O(N²L) graph. *)
 module Lazy : sig
   type t
   (** A lazily expanded auxiliary graph over a problem and its DTS. *)
@@ -86,7 +91,9 @@ module Lazy : sig
   val create : Problem.t -> Tmedb_tveg.Dts.t -> t
   (** Exact-count pass only: O(Σ_blocks deg·log deg) DCS sizing, no
       edge materialisation.  Uses the instance's design channel for
-      DCS costs, exactly like {!build}. *)
+      DCS costs, exactly like {!build}.  Forcing it later queries each
+      non-empty block's DCS a second time; use {!build} to force at
+      once. *)
 
   val create_with :
     marginals:(node:int -> time:float -> Tmedb_tveg.Dcs.marginal list) ->
@@ -108,25 +115,21 @@ module Lazy : sig
       adjacency orders are then identical to {!create}'s. *)
 
   val view : t -> Digraph.view
-  (** Forward successor view, adjacency order identical to the eager
-      CSR graph's.  First enumeration of a vertex bumps the
+  (** Forward successor view.  Before {!force} it runs the successor
+      rule per query: the first enumeration of a vertex bumps the
       materialisation counters; a level vertex also materialises its
       DCS block (memoised), a wait vertex reads the first-level cost
-      the sizing pass recorded. *)
+      the sizing pass recorded.  After {!force} it reads the CSR. *)
 
   val rev_view : t -> Digraph.view
-  (** Reverse (predecessor) view, adjacency order identical to
-      [Digraph.view (Digraph.reverse eager.graph)]: sources in
-      descending id.  Wait-vertex predecessors are found by a
-      receive-window search over each TVEG neighbour's DTS points —
-      O(deg · log L) per wait vertex, independent of graph size.  A
-      block's neighbour-to-level index is built by its first reverse
-      query. *)
+  (** Reverse (predecessor) view: [Digraph.view (Digraph.reverse g)]
+      of the forced graph [g], forcing it on the first query.  Sources
+      come in descending id. *)
 
   val describe : t -> int -> vertex
-  (** Vertex id → description (the lazy analogue of the eager
-      [vertex] array).  O(log V) plus a block memo lookup.
-      @raise Invalid_argument on an out-of-range id. *)
+  (** Vertex id → description (the forced graph's [vertex] array).
+      O(log V) plus a block memo lookup before {!force}, an array read
+      after.  @raise Invalid_argument on an out-of-range id. *)
 
   val wait_vertex : t -> node:int -> point_idx:int -> int option
   (** Id of wait vertex u_{node, point_idx}; [None] when out of
@@ -134,8 +137,8 @@ module Lazy : sig
 
   val extract_schedule : t -> Dst.tree -> Schedule.t
   (** Exactly {!extract_schedule} (same deterministic order, same
-      provenance events), reading vertex descriptions from the memo
-      instead of the eager array. *)
+      provenance events), reading vertex descriptions via
+      {!describe}. *)
 
   val source_vertex : t -> int
   (** Id of u_{s,0}, the Steiner root. *)
@@ -144,7 +147,7 @@ module Lazy : sig
   (** Last wait vertex of every non-source node, ascending. *)
 
   val num_vertices : t -> int
-  (** Total vertex universe — equals [Digraph.n eager.graph]. *)
+  (** Total vertex universe — the forced graph's [Digraph.n]. *)
 
   val num_wait_vertices : t -> int
   (** Wait vertices in the universe (Σ|DTS_i|). *)
@@ -153,15 +156,21 @@ module Lazy : sig
   (** Level vertices in the universe. *)
 
   val edge_bound : t -> int
-  (** Upper bound on the eager build's edge count (coverage edges that
-      round past the deadline are counted here but dropped eagerly). *)
+  (** Upper bound on the forced graph's edge count (coverage edges that
+      round past the deadline are counted here but dropped). *)
 
   val nodes_materialized : t -> int
-  (** Vertices whose successors were generated in at least one
-      direction — the frontier actually paid for. *)
+  (** Vertices whose forward successors were generated — the frontier
+      actually paid for; every vertex once forced. *)
 
   val edges_materialized : t -> int
-  (** Edges emitted during first-time successor generation, summed
-      over both directions (an edge generated from both sides counts
-      twice). *)
+  (** Edges emitted during first-time forward generation; the forced
+      graph's edge count once forced. *)
 end
+
+val force : Lazy.t -> t
+(** The forcing pass: runs the successor rule over every vertex into
+    CSR arrays ({!Digraph.of_succ}) and describes every vertex into
+    [vertex], walking ids in order so no vertex pays an id search.
+    Memoised: later calls, {!Lazy.view} and {!Lazy.rev_view} read the
+    result.  Equal ids, edges and adjacency orders to the lazy view. *)

@@ -5,42 +5,6 @@ open Tmedb_steiner
 let c_runs = Tmedb_obs.Counter.make "eedcb.runs"
 let t_run = Tmedb_obs.Timer.make "eedcb.run"
 
-let node_of_terminal aux term =
-  match aux.Aux_graph.vertex.(term) with
-  | Aux_graph.Wait { node; _ } -> node
-  | Aux_graph.Level { node; _ } -> node
-
-(* Solve over a lazily expanded auxiliary graph — identical vertex
-   ids, edges and adjacency orders as the eager build (see
-   {!Aux_graph.Lazy}), so results are bit-identical; only the explored
-   frontier is ever materialised.  Shared between the per-solve lazy
-   path and the {!Solve_state} reuse path, which differ only in how
-   [aux] was created. *)
-let solve_lazy ~stage ~level aux =
-  let nv = Aux_graph.Lazy.num_vertices aux in
-  let root = Aux_graph.Lazy.source_vertex aux in
-  stage "aux_graph"
-    (Printf.sprintf "%d vertices, %d edge bound (lazy)" nv (Aux_graph.Lazy.edge_bound aux));
-  let outcome =
-    Dst.solve_views ~level ~fwd:(Aux_graph.Lazy.view aux)
-      ~rev:(Aux_graph.Lazy.rev_view aux) ~root ~terminals:(Aux_graph.Lazy.terminals aux)
-      ()
-  in
-  stage "dst"
-    (Printf.sprintf "cost %.17g, %d uncovered" outcome.Dst.tree.Dst.cost
-       (List.length outcome.Dst.uncovered));
-  let pruned =
-    Tmedb_obs.Span.with_ "eedcb.prune" (fun () ->
-        Dst.prune_within ~nv ~root outcome.Dst.tree)
-  in
-  stage "prune" (Printf.sprintf "cost %.17g" pruned.Dst.cost);
-  let schedule = Aux_graph.Lazy.extract_schedule aux pruned in
-  let node_of term =
-    match Aux_graph.Lazy.describe aux term with
-    | Aux_graph.Wait { node; _ } | Aux_graph.Level { node; _ } -> node
-  in
-  (outcome, pruned, schedule, node_of, nv, Aux_graph.Lazy.edge_bound aux)
-
 let plan (ctx : Planner.Ctx.t) problem =
   let level = ctx.Planner.Ctx.steiner_level in
   let cap_per_node = ctx.Planner.Ctx.cap_per_node in
@@ -74,49 +38,35 @@ let plan (ctx : Planner.Ctx.t) problem =
         | None -> Problem.dts ?cap_per_node problem)
   in
   stage "dts" (Printf.sprintf "%d points" (Tmedb_tveg.Dts.total_points dts));
-  let outcome, pruned, schedule, node_of, aux_vertices, aux_edges =
+  (* Dst reads every vertex, so the search runs on the forced CSR; the
+     only choice is where the lazy graph's layout and marginals come
+     from. *)
+  let aux =
     match ctx.Planner.Ctx.solve_state with
     | Some st ->
-        let aux =
-          Tmedb_obs.Span.with_ "eedcb.aux_lazy" (fun () ->
-              let layout = Solve_state.layout st dts in
-              Aux_graph.Lazy.create_with
-                ~marginals:(Solve_state.marginals st ~deadline)
-                ~base:layout.Solve_state.base
-                ~level_off:layout.Solve_state.level_off
-                ~edge_bound:layout.Solve_state.edge_bound problem dts)
-        in
-        solve_lazy ~stage ~level aux
-    | None when ctx.Planner.Ctx.lazy_aux ->
-        let aux =
-          Tmedb_obs.Span.with_ "eedcb.aux_lazy" (fun () -> Aux_graph.Lazy.create problem dts)
-        in
-        solve_lazy ~stage ~level aux
-    | None -> begin
-      let aux = Aux_graph.build problem dts in
-      stage "aux_graph"
-        (Printf.sprintf "%d vertices, %d edges" (Digraph.n aux.Aux_graph.graph)
-           (Digraph.m aux.Aux_graph.graph));
-      let outcome =
-        Dst.solve ~level aux.Aux_graph.graph ~root:aux.Aux_graph.source_vertex
-          ~terminals:aux.Aux_graph.terminals
-      in
-      stage "dst"
-        (Printf.sprintf "cost %.17g, %d uncovered" outcome.Dst.tree.Dst.cost
-           (List.length outcome.Dst.uncovered));
-      let pruned =
-        Tmedb_obs.Span.with_ "eedcb.prune" (fun () ->
-            Dst.prune aux.Aux_graph.graph ~root:aux.Aux_graph.source_vertex outcome.Dst.tree)
-      in
-      stage "prune" (Printf.sprintf "cost %.17g" pruned.Dst.cost);
-      let schedule = Aux_graph.extract_schedule aux pruned in
-      ( outcome,
-        pruned,
-        schedule,
-        node_of_terminal aux,
-        Digraph.n aux.Aux_graph.graph,
-        Digraph.m aux.Aux_graph.graph )
-    end
+        Tmedb_obs.Span.with_ "eedcb.aux" (fun () ->
+            let layout = Solve_state.layout st dts in
+            Aux_graph.force
+              (Aux_graph.Lazy.create_with
+                 ~marginals:(Solve_state.marginals st ~deadline)
+                 ~base:layout.Solve_state.base ~level_off:layout.Solve_state.level_off
+                 ~edge_bound:layout.Solve_state.edge_bound problem dts))
+    | None -> Aux_graph.build problem dts
+  in
+  let g = aux.Aux_graph.graph and root = aux.Aux_graph.source_vertex in
+  stage "aux_graph" (Printf.sprintf "%d vertices, %d edges" (Digraph.n g) (Digraph.m g));
+  let outcome = Dst.solve ~level g ~root ~terminals:aux.Aux_graph.terminals in
+  stage "dst"
+    (Printf.sprintf "cost %.17g, %d uncovered" outcome.Dst.tree.Dst.cost
+       (List.length outcome.Dst.uncovered));
+  let pruned =
+    Tmedb_obs.Span.with_ "eedcb.prune" (fun () -> Dst.prune g ~root outcome.Dst.tree)
+  in
+  stage "prune" (Printf.sprintf "cost %.17g" pruned.Dst.cost);
+  let schedule = Aux_graph.extract_schedule aux pruned in
+  let node_of term =
+    match aux.Aux_graph.vertex.(term) with
+    | Aux_graph.Wait { node; _ } | Aux_graph.Level { node; _ } -> node
   in
   let report =
     Tmedb_obs.Span.with_ "eedcb.feasibility" (fun () -> Feasibility.check problem schedule)
@@ -128,8 +78,8 @@ let plan (ctx : Planner.Ctx.t) problem =
         Planner.Outcome.Steiner_tree
           {
             tree = pruned;
-            aux_vertices;
-            aux_edges;
+            aux_vertices = Digraph.n g;
+            aux_edges = Digraph.m g;
             dts_points = Tmedb_tveg.Dts.total_points dts;
           };
       ]

@@ -19,7 +19,6 @@ type config = {
   mc_trials : int;
   steiner_level : int;
   dts_cap : int;
-  aux_lazy : bool;
 }
 
 let default_config =
@@ -32,7 +31,6 @@ let default_config =
     mc_trials = 300;
     steiner_level = 2;
     dts_cap = 1500;
-    aux_lazy = false;
   }
 
 let make_trace ?density_profile config ~n =
@@ -77,8 +75,7 @@ let run_alg ?warm config ~trace ~source ~deadline ~rng algorithm =
   let channel = Planner.design_channel algorithm in
   let problem = make_problem config ~trace ~channel ~source ~deadline in
   let ctx =
-    Planner.Ctx.make ~rng ~steiner_level:config.steiner_level ~cap_per_node:config.dts_cap ?warm
-      ~lazy_aux:config.aux_lazy ()
+    Planner.Ctx.make ~rng ~steiner_level:config.steiner_level ~cap_per_node:config.dts_cap ?warm ()
   in
   let outcome = Planner.run ~ctx algorithm problem in
   let schedule = outcome.Planner.Outcome.schedule in

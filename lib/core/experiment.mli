@@ -36,14 +36,11 @@ type config = {
   mc_trials : int;  (** Monte-Carlo trials for delivery ratios. *)
   steiner_level : int;  (** Recursive-greedy level for (FR-)EEDCB. *)
   dts_cap : int;  (** Per-node DTS point cap. *)
-  aux_lazy : bool;
-      (** Expand the auxiliary graph lazily ({!Aux_graph.Lazy});
-          bit-identical results, frontier-only materialisation. *)
 }
 
 val default_config : config
 (** Paper defaults: 20 nodes, 17000 s horizon, 2000 s deadline, seed
-    42, 3 sources, 300 trials, level 2, eager auxiliary graph. *)
+    42, 3 sources, 300 trials, level 2, DTS cap 1500. *)
 
 val make_trace : ?density_profile:(float -> float) -> config -> n:int -> Trace.t
 (** The Haggle-like synthetic trace of the given size (see

@@ -125,8 +125,8 @@ let mark_dominated points =
 
 let front_of points = List.filter_map (fun p -> if p.dominated then None else Some p.deadline) points
 
-let sweep ?pool ?(steiner_level = 2) ?cap_per_node ?(seed = 42) ?(share = true)
-    ?(lazy_aux = false) ~planner ~deadlines (problem : Problem.t) =
+let sweep ?pool ?(steiner_level = 2) ?cap_per_node ?(seed = 42) ?(share = true) ~planner
+    ~deadlines (problem : Problem.t) =
   Tmedb_obs.Counter.incr c_sweeps;
   let t0 = Tmedb_obs.Timer.start t_sweep in
   Fun.protect ~finally:(fun () -> Tmedb_obs.Timer.stop t_sweep t0) @@ fun () ->
@@ -154,7 +154,7 @@ let sweep ?pool ?(steiner_level = 2) ?cap_per_node ?(seed = 42) ?(share = true)
         let deadline = deadlines.(k) in
         Tmedb_obs.Counter.incr c_points;
         let rng = Experiment.point_rng ~seed ~k planner in
-        let ctx = Planner.Ctx.make ~rng ~steiner_level ?cap_per_node ~lazy_aux ?solve_state () in
+        let ctx = Planner.Ctx.make ~rng ~steiner_level ?cap_per_node ?solve_state () in
         let p = { base with Problem.deadline } in
         let o = Planner.run ~ctx planner p in
         let schedule = o.Planner.Outcome.schedule in

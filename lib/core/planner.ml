@@ -22,16 +22,15 @@ module Ctx = struct
     pool : Pool.t option;
     provenance : bool;
     warm : Warm.t option;
-    lazy_aux : bool;
     solve_state : Solve_state.t option;
   }
 
   let make ?rng ?(steiner_level = 2) ?cap_per_node ?pool ?provenance ?warm
-      ?(lazy_aux = false) ?solve_state () =
+      ?lazy_aux:(_ : bool option) ?solve_state () =
     let provenance =
       match provenance with Some p -> p | None -> Tmedb_report.Provenance.enabled ()
     in
-    { rng; steiner_level; cap_per_node; pool; provenance; warm; lazy_aux; solve_state }
+    { rng; steiner_level; cap_per_node; pool; provenance; warm; solve_state }
 
   let default () = make ()
   let rng_or ctx ~seed = match ctx.rng with Some rng -> rng | None -> Rng.create seed

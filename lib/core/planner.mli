@@ -68,21 +68,15 @@ module Ctx : sig
     warm : Warm.t option;
         (** Warm-start store for the FR allocation ([None]: every
             allocation solves cold, the goldens' path). *)
-    lazy_aux : bool;
-        (** When true, (FR-)EEDCB expands the auxiliary graph lazily
-            ({!Aux_graph.Lazy}) instead of materialising it — same
-            results bit for bit, only the explored frontier is built
-            (default false, the goldens' path). *)
     solve_state : Solve_state.t option;
         (** Shared deadline-independent state for planners that
             support it (EEDCB, SPT): the DTS view, DCS marginals and
             auxiliary-graph layout come from the state instead of
             being rebuilt per solve.  The state must be compatible
             with the problem being planned
-            ({!Solve_state.check_compatible}); implies the lazy
-            auxiliary graph on the planners that honour it.  [None]
-            (the default): the one-shot path, byte-identical to
-            before the state existed. *)
+            ({!Solve_state.check_compatible}).  [None] (the default):
+            the one-shot path, byte-identical to before the state
+            existed. *)
   }
 
   val make :
@@ -96,7 +90,13 @@ module Ctx : sig
     ?solve_state:Solve_state.t ->
     unit ->
     t
-  (** Context with the paper's defaults for every omitted field. *)
+  (** Context with the paper's defaults for every omitted field.
+      [lazy_aux] is accepted and ignored: each planner picks its
+      auxiliary-graph form from what it reads (EEDCB the forced CSR,
+      SPT the lazy view, identical results either way).  The label
+      exists only because the repository benchmark's harness
+      (benchsuite/workloads.ml), which must not change between
+      benchmark revisions, passes it. *)
 
   val default : unit -> t
   (** [default () = make ()]. *)

@@ -143,7 +143,7 @@ let layout t dts =
       (fun l tm ->
         let bid = base.(i) + l in
         (* A block whose transmission cannot finish strictly before the
-           deadline has no levels — the eager sizing pass computes the
+           deadline has no levels — the one-shot sizing pass computes the
            restricted-graph marginals there and finds them empty. *)
         let nlev, cov = if tm +. tau >= deadline then (0, 0) else stats_at t i tm in
         level_off.(bid + 1) <- level_off.(bid) + nlev;

@@ -39,42 +39,22 @@ let plan (ctx : Planner.Ctx.t) problem =
         | Some st -> Solve_state.dts_at st ~deadline
         | None -> Problem.dts ?cap_per_node:ctx.Planner.Ctx.cap_per_node problem)
   in
-  let lazy_views aux =
-    ( Aux_graph.Lazy.view aux,
-      Aux_graph.Lazy.source_vertex aux,
-      Aux_graph.Lazy.terminals aux,
-      Aux_graph.Lazy.num_vertices aux,
-      Aux_graph.Lazy.edge_bound aux,
-      Aux_graph.Lazy.extract_schedule aux,
-      Aux_graph.Lazy.describe aux )
+  (* One targeted scan touches a small share of the universe, so SPT
+     always runs on the lazy view; the only choice is where the graph's
+     layout and marginals come from. *)
+  let aux =
+    Tmedb_obs.Span.with_ "spt.aux" (fun () ->
+        match ctx.Planner.Ctx.solve_state with
+        | Some st ->
+            let layout = Solve_state.layout st dts in
+            Aux_graph.Lazy.create_with
+              ~marginals:(Solve_state.marginals st ~deadline)
+              ~base:layout.Solve_state.base ~level_off:layout.Solve_state.level_off
+              ~edge_bound:layout.Solve_state.edge_bound problem dts
+        | None -> Aux_graph.Lazy.create problem dts)
   in
-  (* Both representations expose the same view interface; everything
-     below this point is representation-blind. *)
-  let fwd, root, terminals, aux_vertices, aux_edges, extract, describe =
-    match ctx.Planner.Ctx.solve_state with
-    | Some st ->
-        lazy_views
-          (Tmedb_obs.Span.with_ "spt.aux_lazy" (fun () ->
-               let layout = Solve_state.layout st dts in
-               Aux_graph.Lazy.create_with
-                 ~marginals:(Solve_state.marginals st ~deadline)
-                 ~base:layout.Solve_state.base
-                 ~level_off:layout.Solve_state.level_off
-                 ~edge_bound:layout.Solve_state.edge_bound problem dts))
-    | None when ctx.Planner.Ctx.lazy_aux ->
-        lazy_views
-          (Tmedb_obs.Span.with_ "spt.aux_lazy" (fun () -> Aux_graph.Lazy.create problem dts))
-    | None -> begin
-      let aux = Tmedb_obs.Span.with_ "spt.aux" (fun () -> Aux_graph.build problem dts) in
-      ( Digraph.view aux.Aux_graph.graph,
-        aux.Aux_graph.source_vertex,
-        aux.Aux_graph.terminals,
-        Digraph.n aux.Aux_graph.graph,
-        Digraph.m aux.Aux_graph.graph,
-        Aux_graph.extract_schedule aux,
-        fun id -> aux.Aux_graph.vertex.(id) )
-    end
-  in
+  let fwd = Aux_graph.Lazy.view aux and root = Aux_graph.Lazy.source_vertex aux in
+  let terminals = Aux_graph.Lazy.terminals aux in
   let res =
     Tmedb_obs.Span.with_ "spt.dijkstra" (fun () ->
         Dijkstra.run_view ~targets:terminals fwd ~src:root)
@@ -85,7 +65,7 @@ let plan (ctx : Planner.Ctx.t) problem =
   (* Union of predecessor paths, walking each chain only down to the
      first vertex already in the tree.  Edges are keyed (u, v) and
      listed in key order, so the tree is independent of walk order. *)
-  let in_tree = Tmedb_prelude.Bitset.create aux_vertices in
+  let in_tree = Tmedb_prelude.Bitset.create (Aux_graph.Lazy.num_vertices aux) in
   Tmedb_prelude.Bitset.set in_tree root;
   let edge_tbl = Hashtbl.create 64 in
   List.iter
@@ -110,12 +90,12 @@ let plan (ctx : Planner.Ctx.t) problem =
            if c <> 0 then c else Int.compare v1 v2)
   in
   let tree = { Dst.edges; cost = Dst.tree_cost edges; covered = List.sort Int.compare reached } in
-  let schedule = extract tree in
+  let schedule = Aux_graph.Lazy.extract_schedule aux tree in
   let report =
     Tmedb_obs.Span.with_ "spt.feasibility" (fun () -> Feasibility.check problem schedule)
   in
   let node_of term =
-    match describe term with
+    match Aux_graph.Lazy.describe aux term with
     | Aux_graph.Wait { node; _ } | Aux_graph.Level { node; _ } -> node
   in
   Planner.Outcome.make ~schedule ~report
@@ -123,7 +103,12 @@ let plan (ctx : Planner.Ctx.t) problem =
     ~artifacts:
       [
         Planner.Outcome.Steiner_tree
-          { tree; aux_vertices; aux_edges; dts_points = Tmedb_tveg.Dts.total_points dts };
+          {
+            tree;
+            aux_vertices = Aux_graph.Lazy.num_vertices aux;
+            aux_edges = Aux_graph.Lazy.edge_bound aux;
+            dts_points = Tmedb_tveg.Dts.total_points dts;
+          };
       ]
     ()
 

@@ -1,6 +1,6 @@
 (** Immutable weighted digraphs in compressed-sparse-row form.
 
-    The auxiliary graphs of paper Section VI-A are built once and then
+    The auxiliary graphs of paper Section VI-A are forced once and then
     traversed heavily by Dijkstra and the Steiner solver; CSR keeps
     traversal allocation-free. *)
 
@@ -10,6 +10,15 @@ val of_edges : n:int -> (int * int * float) list -> t
 (** Parallel edges are kept (harmless for shortest paths: the cheaper
     one wins).  @raise Invalid_argument on out-of-range endpoints or
     negative weights. *)
+
+val of_succ : n:int -> ?m:int -> (int -> (int -> float -> unit) -> unit) -> t
+(** [of_succ ~n succ] calls [succ u add] exactly once for each
+    u = 0 .. n-1, in ascending order; each [add v w] appends the edge
+    u→v of weight w, so every vertex keeps its successors in emission
+    order.  The CSR arrays are filled directly, with no edge list;
+    [m] (an edge-count estimate, ideally an upper bound) sizes them up
+    front.  @raise Invalid_argument on [n <= 0], out-of-range
+    endpoints or negative weights. *)
 
 val n : t -> int
 (** Number of vertices. *)
@@ -23,7 +32,9 @@ val iter_succ : t -> int -> (int -> float -> unit) -> unit
 val fold_succ : t -> int -> ('a -> int -> float -> 'a) -> 'a -> 'a
 val out_degree : t -> int -> int
 val reverse : t -> t
-(** Transposed graph (weights preserved). *)
+(** Transposed graph (weights preserved).  Vertex v's reversed edges
+    are ordered by descending source, and edges from one source in
+    reverse {!iter_succ} order.  O(n + m), no edge list. *)
 
 val edge_weight : t -> int -> int -> float option
 (** Minimum weight among parallel u→v edges, if any. *)

@@ -42,7 +42,7 @@ val neighbour_cost : phy:Phy.t -> channel:Tveg.channel -> dist:float -> float
 val level_stats : marginal list -> int * int
 (** [(levels, covered)]: the number of levels and the total neighbours
     covered across them — one (node, time) block's vertex and
-    coverage-edge counts in the auxiliary graph, shared by the eager
+    coverage-edge counts in the auxiliary graph, shared by the one-shot
     sizing pass and the deadline-shared solve state. *)
 
 val min_cost_level : level list -> level option

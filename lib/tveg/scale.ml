@@ -13,8 +13,8 @@ open Tmedb_prelude
    The far meetings are the scaling load: they multiply DTS points and
    give every member block a deep discrete cost set, yet their d^alpha
    costs are orders of magnitude above the near backbone, so a
-   shortest-path scan over the auxiliary graph never needs them.  An
-   eager build pays for all of them; a lazy one only for the frontier
+   shortest-path scan over the auxiliary graph never needs them.  A
+   forced graph pays for all of them; a lazy one only for the frontier
    — which is what `bench nscale` measures. *)
 
 type params = {

@@ -7,7 +7,7 @@
     Members additionally meet pairwise at *far* distances in jittered
     sub-windows: with cost ∝ d^α those meetings are orders of
     magnitude more expensive than the backbone, so they multiply DTS
-    points and DCS levels (the eager auxiliary graph's O(N²L) load)
+    points and DCS levels (the forced auxiliary graph's O(N²L) load)
     while an energy-optimal scan never expands them — exactly the gap
     lazy expansion is built to exploit. *)
 

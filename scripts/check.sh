@@ -77,10 +77,10 @@ for f in profile.json profile.folded; do
   }
 done
 
-# N-scaling smoke: the lazy aux-graph path must keep its >=10x
-# materialization cut and its bit-for-bit agreement with the eager
-# build (bench exits non-zero on either), and the frontier counters
-# must reach the telemetry file.
+# N-scaling smoke: lazy SPT must keep its >=10x materialization cut
+# and reach every node (bench exits non-zero otherwise; its schedule
+# is pinned by test_core), and the frontier counters must reach the
+# telemetry file.
 m2=$(mktemp)
 trap 'rm -f "$m" "$m2" "$ptrace" "$l1" "$l2"; rm -rf "$pdir" "$pdir2"' EXIT
 dune exec bench/main.exe -- nscale --quick --metrics "$m2" >/dev/null
@@ -156,6 +156,40 @@ printf '%s\n' "$dout" | grep -q 'points\.6000\.energy' || {
   echo "check.sh: report diff did not render per-point pareto paths" >&2
   exit 1
 }
+# Argument boundary: a deadline outside the trace span (lo, hi] or not
+# finite, a source that is not a node and a Steiner level below 1 must
+# exit 2 with a message on every planning subcommand — never an
+# uncaught exception (exit 125).  $tt spans [0, 10] over 3 nodes; $tt2
+# starts at 100.
+tt2=$(mktemp)
+trap 'rm -f "$m" "$m2" "$m3" "$ptrace" "$l1" "$l2" "$pl1" "$pl2" "$pl3" "$tt" "$tt2"; rm -rf "$pdir" "$pdir2"' EXIT
+cat > "$tt2" <<'EOF'
+# tmedb-trace n=3 span=100,300
+0,1,100,300,10
+0,2,140,160,50
+1,2,150,300,10
+EOF
+expect_exit2() {
+  rc=0
+  dune exec bin/tmedb_cli.exe -- "$@" >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "check.sh: 'tmedb_cli $*' exited $rc, expected 2" >&2
+    exit 1
+  fi
+}
+for cmd in run compare simulate; do
+  expect_exit2 "$cmd" --deadline 20 "$tt"
+  expect_exit2 "$cmd" --deadline nan "$tt"
+  expect_exit2 "$cmd" --deadline 8 --source 3 "$tt"
+done
+expect_exit2 pareto --deadline-list 50,150 "$tt2"
+expect_exit2 pareto --deadline-list 2,8 --source 3 "$tt"
+for cmd in run compare; do
+  expect_exit2 "$cmd" --deadline 8 --level 0 "$tt"
+  expect_exit2 "$cmd" --deadline 8 --level=-1 "$tt"
+done
+expect_exit2 pareto --deadline-list 2,8 --level 0 "$tt"
+
 # Bench gates at quick scale: shared == independent point lists and
 # sublinear reuse counters (bench exits non-zero on either), with the
 # sweep counters reaching the telemetry file.

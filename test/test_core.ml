@@ -333,89 +333,79 @@ let test_aux_graph_deadline_blocks_late_levels () =
       | Aux_graph.Wait _ -> ())
     aux.Aux_graph.vertex
 
-(* The lazy auxiliary graph must be indistinguishable from the eager
-   one: same vertex universe and ids, and — because the traversals
-   break priority ties by operation sequence — the *same successor
-   enumeration order* in both directions, edge for edge. *)
-type touch_order = Interleaved | Fwd_first | Rev_first
+(* The auxiliary graph, pinned: an MD5 over every vertex's forward and
+   reverse successor lists (ids and %h weights) and its description,
+   recorded from an independent edge-list implementation of the
+   paper's construction.  Adjacency order is part of the pin
+   because the traversals break priority ties by operation sequence.
+   The forward lists and descriptions are read before the reverse
+   ones, which force the graph. *)
+let describe_line = function
+  | Aux_graph.Wait { node; point_idx; time } -> Printf.sprintf "W %d %d %h" node point_idx time
+  | Aux_graph.Level { node; point_idx; time; level_idx; cum_cost } ->
+      Printf.sprintf "L %d %d %h %d %h" node point_idx time level_idx cum_cost
 
-let check_lazy_matches_eager ?cap_per_node ?(order = Interleaved) p =
-  let dts = Problem.dts ?cap_per_node p in
-  let aux = Aux_graph.build p dts in
-  let lazy_aux = Aux_graph.Lazy.create p dts in
-  let nv = Tmedb_steiner.Digraph.n aux.Aux_graph.graph in
-  check_int "vertex universe" nv (Aux_graph.Lazy.num_vertices lazy_aux);
-  check_int "wait vertices" (Aux_graph.num_wait_vertices aux)
-    (Aux_graph.Lazy.num_wait_vertices lazy_aux);
-  check_int "source vertex" aux.Aux_graph.source_vertex
-    (Aux_graph.Lazy.source_vertex lazy_aux);
-  Alcotest.(check (list int))
-    "terminals" aux.Aux_graph.terminals
-    (Aux_graph.Lazy.terminals lazy_aux);
+let aux_digest ~nv ~fwd ~rev ~describe =
   let succs iter u =
-    let acc = ref [] in
-    iter u (fun v w -> acc := (v, w) :: !acc);
-    List.rev !acc
+    let b = Buffer.create 32 in
+    iter u (fun v w -> Buffer.add_string b (Printf.sprintf " %d %h" v w));
+    Buffer.contents b
   in
-  let pair = Alcotest.(list (pair int (float 0.))) in
-  let fwd = Aux_graph.Lazy.view lazy_aux in
-  let rev = Aux_graph.Lazy.rev_view lazy_aux in
-  let rev_eager = Tmedb_steiner.Digraph.reverse aux.Aux_graph.graph in
-  let check_fwd u =
-    Alcotest.check pair
-      (Printf.sprintf "fwd succ of %d" u)
-      (succs (Tmedb_steiner.Digraph.iter_succ aux.Aux_graph.graph) u)
-      (succs fwd.Tmedb_steiner.Digraph.iter_succ u)
-  in
-  let check_rev u =
-    Alcotest.check pair
-      (Printf.sprintf "rev succ of %d" u)
-      (succs (Tmedb_steiner.Digraph.iter_succ rev_eager) u)
-      (succs rev.Tmedb_steiner.Digraph.iter_succ u)
-  in
-  (* Blocks build their reverse index on demand, so which direction
-     touches a block first must not matter. *)
-  (match order with
-  | Interleaved ->
-      for u = 0 to nv - 1 do
-        check_fwd u;
-        check_rev u
-      done
-  | Fwd_first ->
-      for u = 0 to nv - 1 do check_fwd u done;
-      for u = 0 to nv - 1 do check_rev u done
-  | Rev_first ->
-      for u = 0 to nv - 1 do check_rev u done;
-      for u = 0 to nv - 1 do check_fwd u done);
+  let f = Array.init nv (succs fwd) in
+  let d = Array.init nv (fun u -> describe_line (describe u)) in
+  let r = Array.init nv (succs rev) in
+  let b = Buffer.create 4096 in
   for u = 0 to nv - 1 do
-    let same =
-      match (aux.Aux_graph.vertex.(u), Aux_graph.Lazy.describe lazy_aux u) with
-      | Aux_graph.Wait a, Aux_graph.Wait b ->
-          a.node = b.node && a.point_idx = b.point_idx && Float.equal a.time b.time
-      | Aux_graph.Level a, Aux_graph.Level b ->
-          a.node = b.node && a.point_idx = b.point_idx && Float.equal a.time b.time
-          && a.level_idx = b.level_idx
-          && Float.equal a.cum_cost b.cum_cost
-      | Aux_graph.Wait _, Aux_graph.Level _ | Aux_graph.Level _, Aux_graph.Wait _ -> false
-    in
-    check_bool (Printf.sprintf "describe %d" u) true same
+    Buffer.add_string b (Printf.sprintf "f%d:%s\nr%d:%s\n%s\n" u f.(u) u r.(u) d.(u))
   done;
-  (* Full enumeration touched everything: the counters saturate. *)
-  check_int "all nodes materialized" nv (Aux_graph.Lazy.nodes_materialized lazy_aux);
-  check_int "edge universe counted twice"
-    (2 * Tmedb_steiner.Digraph.m aux.Aux_graph.graph)
-    (Aux_graph.Lazy.edges_materialized lazy_aux)
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
-let test_lazy_aux_equivalence () =
-  check_lazy_matches_eager (quickstart_problem ());
-  check_lazy_matches_eager (quickstart_problem ~deadline:40. ());
-  check_lazy_matches_eager (quickstart_problem ~channel:`Rayleigh ());
+let lazy_digest l =
+  let fwd = Aux_graph.Lazy.view l and rev = Aux_graph.Lazy.rev_view l in
+  aux_digest ~nv:(Aux_graph.Lazy.num_vertices l) ~fwd:fwd.Tmedb_steiner.Digraph.iter_succ
+    ~rev:rev.Tmedb_steiner.Digraph.iter_succ ~describe:(Aux_graph.Lazy.describe l)
+
+(* The lazy view read before the graph is forced, the same view read
+   after, and [build]'s CSR all match the pin. *)
+let check_aux_graph_pinned ?cap_per_node p digest =
+  let dts = Problem.dts ?cap_per_node p in
+  let l = Aux_graph.Lazy.create p dts in
+  let nv = Aux_graph.Lazy.num_vertices l in
+  Alcotest.(check string) "lazy view, then forced" digest (lazy_digest l);
+  let g = (Aux_graph.force l).Aux_graph.graph in
+  check_int "every vertex materialized" nv (Aux_graph.Lazy.nodes_materialized l);
+  check_int "every edge materialized" (Tmedb_steiner.Digraph.m g)
+    (Aux_graph.Lazy.edges_materialized l);
+  let l = Aux_graph.Lazy.create p dts in
+  ignore (Aux_graph.force l);
+  Alcotest.(check string) "forced, then lazy view" digest (lazy_digest l);
+  let aux = Aux_graph.build p dts in
+  let g = aux.Aux_graph.graph in
+  check_int "vertex universe" nv (Tmedb_steiner.Digraph.n g);
+  check_int "wait vertices" (Aux_graph.Lazy.num_wait_vertices l) (Aux_graph.num_wait_vertices aux);
+  check_int "source vertex" (Aux_graph.Lazy.source_vertex l) aux.Aux_graph.source_vertex;
+  Alcotest.(check (list int)) "terminals" (Aux_graph.Lazy.terminals l) aux.Aux_graph.terminals;
+  check_bool "edge bound" true (Tmedb_steiner.Digraph.m g <= Aux_graph.Lazy.edge_bound l);
+  Alcotest.(check string)
+    "build" digest
+    (aux_digest ~nv
+       ~fwd:(Tmedb_steiner.Digraph.iter_succ g)
+       ~rev:(Tmedb_steiner.Digraph.iter_succ (Tmedb_steiner.Digraph.reverse g))
+       ~describe:(fun u -> aux.Aux_graph.vertex.(u)))
+
+let test_aux_graph_pinned () =
+  check_aux_graph_pinned (quickstart_problem ()) "c4aece4d888a91bcfacac8254786b107";
+  check_aux_graph_pinned (quickstart_problem ~deadline:40. ()) "75a13e24c26ba923de8756e7f5f90c45";
+  check_aux_graph_pinned
+    (quickstart_problem ~channel:`Rayleigh ())
+    "0cd32429d54355ee707a1900efed6029";
   let g =
     Tveg.create ~n:3 ~span:(iv 0. 20.) ~tau:2.
       [ (0, 1, link 0. 12. 10.); (1, 2, link 5. 20. 25.); (0, 2, link 14. 20. 60.) ]
   in
-  check_lazy_matches_eager
+  check_aux_graph_pinned
     (Problem.make ~graph:g ~phy ~channel:`Static ~source:0 ~deadline:18. ())
+    "e7605254882c6c1d8e12185fb6ae809b"
 
 (* Logs warnings of the DTS source raised while running [f]. *)
 let with_dts_warnings f =
@@ -439,8 +429,10 @@ let with_dts_warnings f =
       (r, !count))
 
 (* A clustered Scale shape whose DTS cap bites at the base points, so
-   coverage edges round forward past dropped receive instants. *)
-let test_lazy_aux_equivalence_capped () =
+   coverage edges round forward past dropped receive instants.  The
+   pin check reads the graph in both orders: lazy view first, forced
+   first. *)
+let test_aux_graph_pinned_capped () =
   let params = { Scale.default_params with Scale.cluster = 6; epochs = 1; seed = 11 } in
   let g = Scale.scenario ~params ~n:12 () in
   let p =
@@ -448,26 +440,24 @@ let test_lazy_aux_equivalence_capped () =
   in
   let (), warnings = with_dts_warnings (fun () -> ignore (Problem.dts ~cap_per_node:5 p)) in
   check_int "cap bites" 1 warnings;
-  List.iter
-    (fun order -> check_lazy_matches_eager ~cap_per_node:5 ~order p)
-    [ Fwd_first; Rev_first ]
+  check_aux_graph_pinned ~cap_per_node:5 p "efb71654b822882b7e1f26d45bc2b42b"
 
-let test_lazy_aux_frontier_is_partial () =
+let test_lazy_frontier_is_partial () =
   (* A targeted Dijkstra on the lazy view must not touch the whole
      universe (that is the whole point). *)
   let p = quickstart_problem () in
   let dts = Problem.dts p in
-  let lazy_aux = Aux_graph.Lazy.create p dts in
-  let fwd = Aux_graph.Lazy.view lazy_aux in
-  let src = Aux_graph.Lazy.source_vertex lazy_aux in
-  (match Aux_graph.Lazy.terminals lazy_aux with
+  let lz = Aux_graph.Lazy.create p dts in
+  let fwd = Aux_graph.Lazy.view lz in
+  let src = Aux_graph.Lazy.source_vertex lz in
+  (match Aux_graph.Lazy.terminals lz with
   | [] -> Alcotest.fail "expected terminals"
   | t :: _ ->
       ignore (Tmedb_steiner.Dijkstra.run_view ~targets:[ t ] fwd ~src));
-  let touched = Aux_graph.Lazy.nodes_materialized lazy_aux in
+  let touched = Aux_graph.Lazy.nodes_materialized lz in
   check_bool "some frontier" true (touched > 0);
   check_bool "not the whole universe" true
-    (touched < Aux_graph.Lazy.num_vertices lazy_aux)
+    (touched < Aux_graph.Lazy.num_vertices lz)
 
 (* ------------------------------------------------------------------ *)
 (* EEDCB *)
@@ -738,29 +728,30 @@ let test_fr_unfireable_relays_reported () =
 
 let test_spt_quickstart () =
   let p = quickstart_problem () in
-  let eager = Spt.plan (Planner.Ctx.make ()) p in
-  check_bool "feasible" true eager.Planner.Outcome.report.Feasibility.feasible;
-  Alcotest.(check (list int)) "everyone reached" [] eager.Planner.Outcome.unreached;
+  let spt = Spt.plan (Planner.Ctx.make ()) p in
+  check_bool "feasible" true spt.Planner.Outcome.report.Feasibility.feasible;
+  Alcotest.(check (list int)) "everyone reached" [] spt.Planner.Outcome.unreached;
   (* The Steiner solver shares relays; the path union cannot beat it
      here, and both must stay feasible. *)
   let e = run_eedcb p in
   check_bool "eedcb <= spt" true
     (Schedule.total_cost e.Planner.Outcome.schedule
-    <= Schedule.total_cost eager.Planner.Outcome.schedule +. 1e-9)
+    <= Schedule.total_cost spt.Planner.Outcome.schedule +. 1e-9)
 
-let test_spt_lazy_matches_eager () =
+(* SPT's schedules, pinned to the digests the same scan gave on the
+   independently built CSR graph. *)
+let test_spt_lazy_pinned () =
   List.iter
-    (fun p ->
-      let eager = Spt.plan (Planner.Ctx.make ()) p in
-      let lzy = Spt.plan (Planner.Ctx.make ~lazy_aux:true ()) p in
-      check_bool "schedules equal" true
-        (Schedule.equal eager.Planner.Outcome.schedule lzy.Planner.Outcome.schedule);
-      Alcotest.(check (list int))
-        "unreached equal" eager.Planner.Outcome.unreached lzy.Planner.Outcome.unreached)
+    (fun (p, digest, unreached) ->
+      let o = Spt.plan (Planner.Ctx.make ()) p in
+      Alcotest.(check string)
+        "schedule" digest
+        (Digest.to_hex (Digest.string (Schedule.to_csv o.Planner.Outcome.schedule)));
+      Alcotest.(check (list int)) "unreached" unreached o.Planner.Outcome.unreached)
     [
-      quickstart_problem ();
-      quickstart_problem ~deadline:40. ();
-      quickstart_problem ~deadline:30. ();
+      (quickstart_problem (), "eb73f28f19ba5a37f6d4ffdd96397fcd", []);
+      (quickstart_problem ~deadline:40. (), "537f4227f251302ed721baec4b7f5b66", []);
+      (quickstart_problem ~deadline:30. (), "6c6fae1029e2230e9a456989dc175026", [ 4 ]);
     ]
 
 let test_spt_on_scale_scenario () =
@@ -773,19 +764,19 @@ let test_spt_on_scale_scenario () =
       ~deadline:(Scale.deadline ~params ()) ()
   in
   let dts = Problem.dts ~cap_per_node:64 p in
-  let lazy_aux = Aux_graph.Lazy.create p dts in
-  let outcome = Spt.plan (Planner.Ctx.make ~lazy_aux:true ~cap_per_node:64 ()) p in
+  let lz = Aux_graph.Lazy.create p dts in
+  let outcome = Spt.plan (Planner.Ctx.make ~cap_per_node:64 ()) p in
   check_bool "feasible" true outcome.Planner.Outcome.report.Feasibility.feasible;
   Alcotest.(check (list int)) "everyone reached" [] outcome.Planner.Outcome.unreached;
   (* Replay the planner's scan on a fresh lazy graph to measure the
      frontier cut on this instance. *)
   ignore
     (Tmedb_steiner.Dijkstra.run_view
-       ~targets:(Aux_graph.Lazy.terminals lazy_aux)
-       (Aux_graph.Lazy.view lazy_aux)
-       ~src:(Aux_graph.Lazy.source_vertex lazy_aux));
-  let total = Aux_graph.Lazy.num_vertices lazy_aux in
-  let touched = Aux_graph.Lazy.nodes_materialized lazy_aux in
+       ~targets:(Aux_graph.Lazy.terminals lz)
+       (Aux_graph.Lazy.view lz)
+       ~src:(Aux_graph.Lazy.source_vertex lz));
+  let total = Aux_graph.Lazy.num_vertices lz in
+  let touched = Aux_graph.Lazy.nodes_materialized lz in
   check_bool "frontier cut" true (touched * 2 < total)
 
 (* ------------------------------------------------------------------ *)
@@ -1259,7 +1250,7 @@ let test_spt_lazy_pinned_scale () =
   in
   let o, w =
     with_dts_warnings (fun () ->
-        Spt.plan (Planner.Ctx.make ~lazy_aux:true ~cap_per_node:64 ()) p)
+        Spt.plan (Planner.Ctx.make ~cap_per_node:64 ()) p)
   in
   Alcotest.(check string)
     "schedule" "ed2d268fba0635fe025a4ef87958628e"
@@ -1309,14 +1300,14 @@ let () =
           tc "shape" test_aux_graph_shape;
           tc "extract roundtrip" test_aux_graph_extract_roundtrip;
           tc "deadline blocks late levels" test_aux_graph_deadline_blocks_late_levels;
-          tc "lazy equivalence" test_lazy_aux_equivalence;
-          tc "lazy equivalence capped, both touch orders" test_lazy_aux_equivalence_capped;
-          tc "lazy frontier partial" test_lazy_aux_frontier_is_partial;
+          tc "lazy equivalence" test_aux_graph_pinned;
+          tc "lazy equivalence capped, both touch orders" test_aux_graph_pinned_capped;
+          tc "lazy frontier partial" test_lazy_frontier_is_partial;
         ] );
       ( "spt",
         [
           tc "quickstart" test_spt_quickstart;
-          tc "lazy matches eager" test_spt_lazy_matches_eager;
+          tc "lazy pinned" test_spt_lazy_pinned;
           tc "scale scenario end-to-end" test_spt_on_scale_scenario;
         ] );
       ( "eedcb",

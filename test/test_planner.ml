@@ -109,9 +109,9 @@ let with_pool jobs f =
     Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Some pool))
   end
 
-let fig6_digest ?(config = tiny) ~jobs () =
+let fig6_digest ~jobs =
   with_pool jobs @@ fun pool ->
-  let energy, delivery = Experiment.fig6 ~config ?pool ~ns:[ 8; 10 ] () in
+  let energy, delivery = Experiment.fig6 ~config:tiny ?pool ~ns:[ 8; 10 ] () in
   let fingerprint series =
     List.concat_map
       (fun s ->
@@ -151,7 +151,7 @@ let compare_digest ~jobs =
 let test_fig6_parity () =
   List.iter
     (fun jobs ->
-      check_string (Printf.sprintf "fig6 digest jobs=%d" jobs) fig6_golden (fig6_digest ~jobs ()))
+      check_string (Printf.sprintf "fig6 digest jobs=%d" jobs) fig6_golden (fig6_digest ~jobs))
     [ 1; 2; 4 ]
 
 let test_compare_parity () =
@@ -160,18 +160,6 @@ let test_compare_parity () =
       check_string
         (Printf.sprintf "compare digest jobs=%d" jobs)
         compare_golden (compare_digest ~jobs))
-    [ 1; 2; 4 ]
-
-(* Lazy auxiliary-graph expansion is a pure representation change:
-   the very same golden digest must come out with [aux_lazy = true],
-   serial and parallel alike. *)
-let test_fig6_lazy_parity () =
-  List.iter
-    (fun jobs ->
-      check_string
-        (Printf.sprintf "fig6 lazy digest jobs=%d" jobs)
-        fig6_golden
-        (fig6_digest ~config:{ tiny with Experiment.aux_lazy = true } ~jobs ()))
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -212,7 +200,6 @@ let () =
         [
           slow "fig6 digests pre-refactor golden" test_fig6_parity;
           slow "compare digests pre-refactor golden" test_compare_parity;
-          slow "fig6 digests lazy aux graph" test_fig6_lazy_parity;
         ] );
       ("outcome", [ slow "artifacts round-trip" test_outcome_artifacts ]);
     ]

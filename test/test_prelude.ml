@@ -524,20 +524,6 @@ let test_bitset_fill_iter () =
   Alcotest.(check (list int)) "to_list" (List.init 12 Fun.id) (Bitset.to_list b)
 
 (* ------------------------------------------------------------------ *)
-(* Dsu *)
-
-let test_dsu () =
-  let d = Dsu.create 6 in
-  check_int "classes" 6 (Dsu.count d);
-  check_bool "union new" true (Dsu.union d 0 1);
-  check_bool "union again" false (Dsu.union d 1 0);
-  ignore (Dsu.union d 2 3);
-  ignore (Dsu.union d 1 2);
-  check_bool "same 0 3" true (Dsu.same d 0 3);
-  check_bool "diff 0 4" false (Dsu.same d 0 4);
-  check_int "three classes" 3 (Dsu.count d)
-
-(* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let test_stats_basic () =
@@ -744,7 +730,6 @@ let () =
           tc "union/subset" test_bitset_union_subset;
           tc "fill/iter" test_bitset_fill_iter;
         ] );
-      ("dsu", [ tc "union-find" test_dsu ]);
       ( "stats",
         [
           tc "basic" test_stats_basic;
