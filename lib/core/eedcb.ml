@@ -18,15 +18,7 @@ let plan (ctx : Planner.Ctx.t) problem =
   (match ctx.Planner.Ctx.solve_state with
   | Some st -> Solve_state.check_compatible st problem ~cap_per_node
   | None -> ());
-  (* Contacts after the deadline can never matter: clip them away so
-     the DTS closure and the DCS queries walk shorter link lists. *)
-  let problem =
-    let open Tmedb_tveg in
-    let span = Tveg.span problem.Problem.graph in
-    let sub = Tmedb_prelude.Interval.make ~lo:span.Tmedb_prelude.Interval.lo
-        ~hi:problem.Problem.deadline in
-    { problem with Problem.graph = Tveg.restrict problem.Problem.graph ~span:sub }
-  in
+  let problem = Problem.clip problem in
   let stage name detail =
     if Tmedb_report.Provenance.enabled () then
       Tmedb_report.Provenance.emit (Tmedb_report.Provenance.Stage { stage = name; detail })

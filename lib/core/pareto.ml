@@ -2,7 +2,7 @@ open Tmedb_prelude
 
 (* Time–energy Pareto sweep: plan one instance at every deadline of a
    grid, sharing a single {!Solve_state} so the deadline-independent
-   work (streaming τ-closure, DCS marginals, aux-graph layout
+   work (the horizon τ-closure, DCS marginals, aux-graph layout
    arithmetic) is paid once for the whole grid instead of once per
    point.  Points fan out over the pool; each seeds its own RNG stream
    ({!Experiment.point_rng}), so results are bit-identical at any

@@ -2,11 +2,12 @@
 
     The paper fixes one deadline T and minimises energy; this module
     sweeps a whole deadline grid and reports the time-vs-energy
-    tradeoff.  All deadline-independent work — the streaming τ-closure,
-    the memoised DCS marginals and the auxiliary-graph id layouts —
-    lives in one shared {!Solve_state} created at the grid's largest
-    deadline, so a k-point sweep costs far less than k independent
-    solves (gated by [bench pareto]).  Points fan out over the pool,
+    tradeoff.  All deadline-independent work — the τ-closure at the
+    grid's largest deadline (each smaller deadline reads a
+    {!Tmedb_tveg.Dts.view} of it), the memoised DCS marginals and the
+    auxiliary-graph id layouts — lives in one shared {!Solve_state},
+    so a k-point sweep costs far less than k independent solves (gated
+    by [bench pareto]).  Points fan out over the pool,
     each seeding its own RNG stream ({!Experiment.point_rng}), so
     results are bit-identical at any worker count. *)
 

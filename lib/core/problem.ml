@@ -33,6 +33,11 @@ let completion_lower_bound t =
   Tmedb_tvg.Reachability.broadcast_completion_time (Tveg.to_tvg t.graph) ~tau:(tau t)
     ~src:t.source ~t0:(span_start t)
 
+let clip t =
+  let span = Tveg.span t.graph in
+  let sub = Interval.make ~lo:span.Interval.lo ~hi:t.deadline in
+  { t with graph = Tveg.restrict t.graph ~span:sub }
+
 let dts ?cap_per_node t = Dts.compute ?cap_per_node ~source:t.source t.graph ~deadline:t.deadline
 
 let set_cover_gadget ?(phy = Phy.default) ~universe ~sets () =

@@ -52,6 +52,12 @@ val completion_lower_bound : t -> float
 (** Earliest instant by which a broadcast can possibly complete
     (foremost-journey bound); [infinity] when unreachable. *)
 
+val clip : t -> t
+(** The same instance on its graph restricted to [\[span.lo,
+    deadline\]]: contacts after the deadline can never matter, so the
+    DTS closure and the DCS queries walk shorter link lists.  EEDCB,
+    SPT and {!Solve_state} plan on the clipped instance. *)
+
 val dts : ?cap_per_node:int -> t -> Dts.t
 (** The instance's discrete time set, clipped to the deadline and
     pruned to each node's earliest reachable instant from the source

@@ -24,15 +24,7 @@ let plan (ctx : Planner.Ctx.t) problem =
   | Some st ->
       Solve_state.check_compatible st problem ~cap_per_node:ctx.Planner.Ctx.cap_per_node
   | None -> ());
-  let problem =
-    let open Tmedb_tveg in
-    let span = Tveg.span problem.Problem.graph in
-    let sub =
-      Tmedb_prelude.Interval.make ~lo:span.Tmedb_prelude.Interval.lo
-        ~hi:problem.Problem.deadline
-    in
-    { problem with Problem.graph = Tveg.restrict problem.Problem.graph ~span:sub }
-  in
+  let problem = Problem.clip problem in
   let dts =
     Tmedb_obs.Span.with_ "spt.dts" (fun () ->
         match ctx.Planner.Ctx.solve_state with

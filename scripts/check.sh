@@ -195,7 +195,7 @@ expect_exit2 pareto --deadline-list 2,8 --level 0 "$tt"
 # sweep counters reaching the telemetry file.
 dune exec bench/main.exe -- pareto --quick --jobs 2 --metrics "$m3" >/dev/null
 for key in '"pareto.sweeps"' '"pareto.points"' '"solve_state.creates"' \
-           '"dts.stream_points"'; do
+           '"dts.points"'; do
   grep -q "$key" "$m3" || {
     echo "check.sh: pareto metrics missing $key" >&2
     exit 1
