@@ -112,7 +112,10 @@ module Lazy : sig
       return, for every block the layout gives levels, the same
       marginal list [Dcs.marginals_at] would on the instance (blocks
       the layout zeroes are never asked).  Vertex ids, edges and
-      adjacency orders are then identical to {!create}'s. *)
+      adjacency orders are then identical to {!create}'s.  When
+      [marginals] hands a node's consecutive blocks one physical list,
+      as the shared memo does for a run of equal points, the graph
+      builds that run's block arrays once. *)
 
   val view : t -> Digraph.view
   (** Forward successor view.  Before {!force} it runs the successor

@@ -69,6 +69,9 @@ let at g ~phy ~channel ~node ~time =
   in
   accum [] (marginals_at g ~phy ~channel ~node ~time)
 
+let equal_marginal (a : marginal) (b : marginal) =
+  Float.equal a.cost b.cost && List.equal Int.equal a.fresh b.fresh
+
 let level_stats margs =
   List.fold_left
     (fun (nlev, cov) { fresh; _ } -> (nlev + 1, cov + List.length fresh))

@@ -39,6 +39,9 @@ val marginals_at :
 val neighbour_cost : phy:Phy.t -> channel:Tveg.channel -> dist:float -> float
 (** The per-neighbour cost described above. *)
 
+val equal_marginal : marginal -> marginal -> bool
+(** Same cost and the same fresh neighbours. *)
+
 val level_stats : marginal list -> int * int
 (** [(levels, covered)]: the number of levels and the total neighbours
     covered across them — one (node, time) block's vertex and
