@@ -54,7 +54,7 @@ let covered_from_problem (p : Problem.t) ~node ~time ~level_idx =
   |> List.sort_uniq Int.compare
 
 (* Shared schedule extraction: the forced graph describes a vertex by
-   array lookup, the lazy one by id arithmetic plus a memoised block;
+   array lookup, the lazy one by id arithmetic plus a table read;
    [covered] recomputes a chosen level's covered-neighbour set for
    provenance.  Everything else — deepest-level choice, deterministic
    key order, emitted events — is common. *)
@@ -122,12 +122,13 @@ type forced = t
 module Lazy = struct
   open Tmedb_prelude
 
-  (* One wait vertex's transmission block: its DCS marginals, reshaped
-     for O(1) level access.  Its owner and instant are not stored: a
-     lazy scan may hold most blocks at once, so they stay this small. *)
-  type block = {
-    costs : float array;  (* cumulative clamped level costs, ascending *)
-    fresh : int array array;  (* newly covered neighbours per level, ascending *)
+  (* One node's DCS levels, block after block: a block's levels are
+     consecutive rows, and a block whose marginals are physically the
+     same list as an earlier block's reuses that block's rows. *)
+  type rows = {
+    cost : float array;  (* per row: the level's clamped cost *)
+    fresh_off : int array;  (* per row, plus one: its first fresh neighbour in [fresh] *)
+    fresh : int array;  (* newly covered neighbours, row by row, ascending within a row *)
   }
 
   type t = {
@@ -137,35 +138,94 @@ module Lazy = struct
     base : int array;  (* wait-vertex base id per node *)
     total_wait : int;
     level_off : int array;  (* per-block level-id prefix, length total_wait+1 *)
-    first_cost : float array;
-        (* per block, its first level's cost (the wait -> level-0 edge),
-           recorded by the sizing pass so no block is built to read it *)
+    row : int array;  (* per block, the row of its first level in its node's [rows] *)
+    rows : rows array;  (* per node: the level table, the only DCS data kept *)
     nv : int;
     edge_bound : int;  (* edges the forced graph has, at most *)
     source_vertex : int;
     terminals : int list;
-    marginals : int -> node:int -> time:float -> Dcs.marginal list;
-        (* DCS source for block materialisation, by block id, node and
-           time: a direct query on the instance by default, the sizing
-           pass's own lists under [build], a shared-state memo under
-           [create_with] — all must describe the same universe as the
-           sizing pass that fixed [level_off]. *)
-    blocks : (int, block) Hashtbl.t;
-        (* by block id, built on first use.  A flat [block option]
-           array indexed by block id measured a 17 % higher peak heap
-           over three N = 500 lazy SPT solves, so the memo stays a
-           table. *)
-    last_margs : Dcs.marginal list array;
-    last_block : block array;
-        (* per node, the marginals its latest block was built from, and
-           that block: a shared-state memo hands out one physical list
-           per run of equal points, so the run builds one block *)
     gen_fwd : Bitset.t;  (* vertices whose forward succs were generated *)
     mutable forced : forced option;
     mutable reversed : Digraph.t option;  (* the forced CSR, transposed *)
     mutable nodes_materialized : int;
     mutable edges_materialized : int;
   }
+
+  (* A node's rows while they are appended: grown by doubling, copied
+     out at exact size when the node is done, then reused for the next
+     node, so the table never holds slack and no buffer spans the
+     graph. *)
+  type staging = {
+    mutable s_cost : float array;
+    mutable s_off : int array;
+    mutable s_fresh : int array;
+    mutable s_rows : int;
+    mutable s_fresh_len : int;
+  }
+
+  let staging () = { s_cost = [||]; s_off = [| 0 |]; s_fresh = [||]; s_rows = 0; s_fresh_len = 0 }
+
+  let grow a need fill =
+    if Array.length a >= need then a
+    else begin
+      let b = Array.make (max need (2 * Array.length a)) fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    end
+
+  (* [Array.blit] on a major-heap array pays a write barrier per
+     element; a typed int loop needs none. *)
+  let int_blit (src : int array) src_pos (dst : int array) dst_pos len =
+    for q = 0 to len - 1 do
+      dst.(dst_pos + q) <- src.(src_pos + q)
+    done
+
+  (* Room for [rows] more rows and [fresh] more fresh neighbours. *)
+  let reserve st ~rows ~fresh =
+    st.s_cost <- grow st.s_cost (st.s_rows + rows) 0.;
+    st.s_off <- grow st.s_off (st.s_rows + rows + 1) 0;
+    st.s_fresh <- grow st.s_fresh (st.s_fresh_len + fresh) 0
+
+  (* The [levels] levels a {!Dcs.fill} left in [sc]. *)
+  let push_scratch st (sc : Dcs.scratch) levels =
+    let served = sc.Dcs.level_start.(levels) in
+    reserve st ~rows:levels ~fresh:served;
+    Array.blit sc.Dcs.level_cost 0 st.s_cost st.s_rows levels;
+    int_blit sc.Dcs.ids 0 st.s_fresh st.s_fresh_len served;
+    for k = 1 to levels do
+      st.s_off.(st.s_rows + k) <- st.s_fresh_len + sc.Dcs.level_start.(k)
+    done;
+    st.s_rows <- st.s_rows + levels;
+    st.s_fresh_len <- st.s_fresh_len + served
+
+  let push_marginals st margs =
+    List.iter
+      (fun { Dcs.cost; fresh } ->
+        let nfresh = List.length fresh in
+        reserve st ~rows:1 ~fresh:nfresh;
+        List.iteri (fun q j -> st.s_fresh.(st.s_fresh_len + q) <- j) fresh;
+        st.s_cost.(st.s_rows) <- cost;
+        st.s_rows <- st.s_rows + 1;
+        st.s_fresh_len <- st.s_fresh_len + nfresh;
+        st.s_off.(st.s_rows) <- st.s_fresh_len)
+      margs
+
+  let take st =
+    let int_sub a len =
+      let b = Array.make len 0 in
+      int_blit a 0 b 0 len;
+      b
+    in
+    let rows =
+      {
+        cost = Array.sub st.s_cost 0 st.s_rows;
+        fresh_off = int_sub st.s_off (st.s_rows + 1);
+        fresh = int_sub st.s_fresh st.s_fresh_len;
+      }
+    in
+    st.s_rows <- 0;
+    st.s_fresh_len <- 0;
+    rows
 
   (* Steiner terminals: each non-source node's last wait vertex. *)
   let terminals_of (problem : Problem.t) dts base =
@@ -186,8 +246,8 @@ module Lazy = struct
     Tmedb_obs.Counter.add c_lazy_nodes_total t.nv;
     t
 
-  let make (problem : Problem.t) dts ~base ~level_off ~first_cost ~edge_bound ~marginals =
-    let total_wait = Array.length first_cost in
+  let make (problem : Problem.t) dts ~base ~level_off ~row ~rows ~edge_bound =
+    let total_wait = Array.length row in
     let nv = total_wait + level_off.(total_wait) in
     {
       problem;
@@ -196,15 +256,12 @@ module Lazy = struct
       base;
       total_wait;
       level_off;
-      first_cost;
+      row;
+      rows;
       nv;
       edge_bound;
       source_vertex = base.(problem.Problem.source);
       terminals = terminals_of problem dts base;
-      marginals;
-      blocks = Hashtbl.create 64;
-      last_margs = Array.make (Array.length base) [];
-      last_block = Array.make (Array.length base) { costs = [||]; fresh = [||] };
       gen_fwd = Bitset.create nv;
       forced = None;
       reversed = None;
@@ -212,16 +269,14 @@ module Lazy = struct
       edges_materialized = 0;
     }
 
-  (* The exact-count pass: per (node, point) block, the number of DCS
-     levels — [Dcs.marginals_at] is the single source of truth — which
-     fixes the id layout: wait ids first, then level ids in block
-     order.  With [keep_marginals] the lists are kept for the forcing
-     pass, so a graph forced at once queries each block's DCS only
-     once. *)
-  let create_body ~keep_marginals (problem : Problem.t) dts =
+  (* The one-shot sizing pass: one {!Dcs.fill} per block that can
+     finish by the deadline fixes the id layout — wait ids first, then
+     level ids in block order — and fills the level table, so neither
+     the lazy view nor the forcing pass queries the DCS again. *)
+  let create (problem : Problem.t) dts =
+    with_create_telemetry @@ fun () ->
     let g = problem.Problem.graph in
-    let phy = problem.Problem.phy in
-    let channel = problem.Problem.channel in
+    let pricing = Dcs.pricing ~phy:problem.Problem.phy ~channel:problem.Problem.channel in
     let n = Tveg.n g in
     let tau = Tveg.tau g in
     let deadline = Dts.deadline dts in
@@ -233,57 +288,64 @@ module Lazy = struct
     done;
     let total_wait = !total_wait in
     let level_off = Array.make (total_wait + 1) 0 in
-    let first_cost = Array.make total_wait 0. in
-    let kept = if keep_marginals then Array.make total_wait [] else [||] in
+    let row = Array.make total_wait 0 in
     let edge_bound = ref 0 in
-    for i = 0 to n - 1 do
-      let pts = Dts.node_points dts i in
-      Array.iteri
-        (fun l t ->
-          let bid = base.(i) + l in
-          let margs =
-            if t +. tau <= deadline then Dcs.marginals_at g ~phy ~channel ~node:i ~time:t
-            else []
-          in
-          let nlev, cov = Dcs.level_stats margs in
-          (match margs with m :: _ -> first_cost.(bid) <- m.Dcs.cost | [] -> ());
-          if keep_marginals then kept.(bid) <- margs;
-          level_off.(bid + 1) <- level_off.(bid) + nlev;
-          edge_bound := !edge_bound + nlev + cov;
-          if l + 1 < Array.length pts then incr edge_bound)
-        pts
-    done;
-    let marginals =
-      if keep_marginals then fun bid ~node:_ ~time:_ -> kept.(bid)
-      else fun _ ~node ~time -> Dcs.marginals_at g ~phy ~channel ~node ~time
+    let sc = Dcs.scratch () and st = staging () in
+    let rows =
+      Array.init n (fun i ->
+          let pts = Dts.node_points dts i in
+          Array.iteri
+            (fun l t ->
+              let bid = base.(i) + l in
+              row.(bid) <- st.s_rows;
+              if t +. tau <= deadline then begin
+                let levels = Dcs.fill sc g pricing ~node:i ~time:t in
+                push_scratch st sc levels;
+                level_off.(bid + 1) <- level_off.(bid) + levels;
+                edge_bound := !edge_bound + levels + sc.Dcs.level_start.(levels)
+              end
+              else level_off.(bid + 1) <- level_off.(bid);
+              if l + 1 < Array.length pts then incr edge_bound)
+            pts;
+          take st)
     in
-    make problem dts ~base ~level_off ~first_cost ~edge_bound:!edge_bound ~marginals
-
-  let create problem dts = with_create_telemetry (fun () -> create_body ~keep_marginals:false problem dts)
+    make problem dts ~base ~level_off ~row ~rows ~edge_bound:!edge_bound
 
   (* Same graph as [create], but the id layout arrives precomputed (a
      shared {!Solve_state} assembles it by offset arithmetic over the
-     memoised per-block level counts) and the DCS marginals come from
-     the given provider: no block is built at creation time, and the
-     first-level costs are read off the provider's (memoised) lists. *)
+     memoised per-block level counts) and the table is filled from the
+     provider's lists, one per block the layout gives levels.  A list
+     handed out again for a later block of the same node (the memo's
+     runs of equal points) is converted once: the blocks share rows. *)
   let create_with ~(marginals : node:int -> time:float -> Dcs.marginal list) ~base ~level_off
       ~edge_bound (problem : Problem.t) dts =
     with_create_telemetry @@ fun () ->
     let n = Tveg.n problem.Problem.graph in
     let total_wait = base.(n - 1) + Array.length (Dts.node_points dts (n - 1)) in
-    let first_cost = Array.make total_wait 0. in
-    for i = 0 to n - 1 do
-      Array.iteri
-        (fun l time ->
-          let bid = base.(i) + l in
-          if level_off.(bid + 1) > level_off.(bid) then
-            match marginals ~node:i ~time with
-            | m :: _ -> first_cost.(bid) <- m.Dcs.cost
-            | [] -> ())
-        (Dts.node_points dts i)
-    done;
-    make problem dts ~base ~level_off ~first_cost ~edge_bound
-      ~marginals:(fun _ ~node ~time -> marginals ~node ~time)
+    let row = Array.make total_wait 0 in
+    let st = staging () in
+    let rows =
+      Array.init n (fun i ->
+          let last = ref [] and last_row = ref 0 in
+          Array.iteri
+            (fun l time ->
+              let bid = base.(i) + l in
+              let levels = level_off.(bid + 1) - level_off.(bid) in
+              if levels > 0 then begin
+                let margs = marginals ~node:i ~time in
+                if margs != [] && margs == !last then row.(bid) <- !last_row
+                else begin
+                  row.(bid) <- st.s_rows;
+                  push_marginals st margs;
+                  assert (st.s_rows - row.(bid) = levels);
+                  last := margs;
+                  last_row := row.(bid)
+                end
+              end)
+            (Dts.node_points dts i);
+          take st)
+    in
+    make problem dts ~base ~level_off ~row ~rows ~edge_bound
 
   (* First wait/block id past node [i]'s. *)
   let node_end t i = if i + 1 < Array.length t.base then t.base.(i + 1) else t.total_wait
@@ -315,76 +377,44 @@ module Lazy = struct
   (* Transmission instant of block [bid], owned by [node]. *)
   let block_time t ~node bid = (Dts.node_points t.dts node).(bid - t.base.(node))
 
-  let make_block t ~node ~time bid =
-    let nlev = t.level_off.(bid + 1) - t.level_off.(bid) in
-    let margs = t.marginals bid ~node ~time in
-    assert (List.length margs = nlev);
-    (* Blocks are immutable and do not know their instant, so equal
-       marginals can share one. *)
-    if margs != [] && margs == t.last_margs.(node) then t.last_block.(node)
-    else begin
-      let costs = Array.make nlev 0. in
-      let fresh = Array.make nlev [||] in
-      List.iteri
-        (fun k { Dcs.cost; fresh = fr } ->
-          costs.(k) <- cost;
-          fresh.(k) <- Array.of_list fr)
-        margs;
-      let b = { costs; fresh } in
-      t.last_margs.(node) <- margs;
-      t.last_block.(node) <- b;
-      b
-    end
-
-  let block t ~node ~time bid =
-    match Hashtbl.find_opt t.blocks bid with
-    | Some b -> b
-    | None ->
-        let b = make_block t ~node ~time bid in
-        Hashtbl.replace t.blocks bid b;
-        b
-
   let wait_desc t ~node u =
     let point_idx = u - t.base.(node) in
     Wait { node; point_idx; time = (Dts.node_points t.dts node).(point_idx) }
 
-  let level_desc t b ~node ~time bid k =
-    Level { node; point_idx = bid - t.base.(node); time; level_idx = k; cum_cost = b.costs.(k) }
+  let level_desc t ~node ~time bid k =
+    let cum_cost = t.rows.(node).cost.(t.row.(bid) + k) in
+    Level { node; point_idx = bid - t.base.(node); time; level_idx = k; cum_cost }
 
   (* The successor rule — the only code that decides a vertex's edges,
      for the lazy view and the forcing pass alike.  Emission order is
      result-determining (the Steiner scans break priority ties by
      operation sequence) and pinned by the tests. *)
 
-  (* Wait vertex [u]: its level-0 vertex at the first level's cost,
-     then, unless [u] is its node's [last] point, the 0-weight wait
-     chain. *)
-  let wait_succs t ~last u f =
+  (* Wait vertex [u] of [node]: its level-0 vertex at the first level's
+     cost, then, unless [u] is its node's [last] point, the 0-weight
+     wait chain. *)
+  let wait_succs t ~node ~last u f =
     if t.level_off.(u + 1) > t.level_off.(u) then
-      f (t.total_wait + t.level_off.(u)) t.first_cost.(u);
+      f (t.total_wait + t.level_off.(u)) t.rows.(node).cost.(t.row.(u));
     if not last then f (u + 1) 0.
 
-  (* Level vertex [u], level [k] of block [b] transmitting at [time]:
-     the next level at the incremental cost, then a 0-weight coverage
-     edge per neighbour first covered at [k], in descending neighbour
-     order, onto its DTS point at time + τ.  A receive instant that fell to the DTS cap
-     rounds forward, which only delays the neighbour (sound, possibly
-     suboptimal); one past the deadline drops the edge. *)
-  let level_succs t b ~time k u f =
-    if k + 1 < Array.length b.costs then f (u + 1) (b.costs.(k + 1) -. b.costs.(k));
-    let fr = b.fresh.(k) in
+  (* Level vertex [u], level [k] of block [bid] of [node] transmitting
+     at [time]: the next level at the incremental cost, then a 0-weight
+     coverage edge per neighbour first covered at [k], in descending
+     neighbour order, onto its first DTS point at or after time + τ.
+     That is the receive instant itself, unless it fell to the DTS cap:
+     rounding forward only delays the neighbour (sound, possibly
+     suboptimal); past the neighbour's last point the edge is dropped. *)
+  let level_succs t ~node ~time bid k u f =
+    let rows = t.rows.(node) in
+    let r = t.row.(bid) + k in
+    if k + 1 < t.level_off.(bid + 1) - t.level_off.(bid) then
+      f (u + 1) (rows.cost.(r + 1) -. rows.cost.(r));
     let t_recv = time +. t.tau in
-    for q = Array.length fr - 1 downto 0 do
-      let j = fr.(q) in
-      let target =
-        match Dts.index_of_point t.dts j t_recv with
-        | Some fi -> Some fi
-        | None -> (
-            match Dts.earliest_at_or_after t.dts j t_recv with
-            | Some pt -> Dts.index_of_point t.dts j pt
-            | None -> None)
-      in
-      match target with Some fi -> f (t.base.(j) + fi) 0. | None -> ()
+    for q = rows.fresh_off.(r + 1) - 1 downto rows.fresh_off.(r) do
+      let j = rows.fresh.(q) in
+      let fi = Dts.index_at_or_after t.dts j t_recv in
+      if t.base.(j) + fi < node_end t j then f (t.base.(j) + fi) 0.
     done
 
   (* Forward successors of any vertex, located by id search.  The first
@@ -402,29 +432,29 @@ module Lazy = struct
           f v w
       end
     in
-    if u < t.total_wait then wait_succs t ~last:(u + 1 = node_end t (node_of_wait t u)) u f
+    if u < t.total_wait then begin
+      let node = node_of_wait t u in
+      wait_succs t ~node ~last:(u + 1 = node_end t node) u f
+    end
     else begin
       let bid, k = locate_level t u in
       let node = node_of_wait t bid in
-      let time = block_time t ~node bid in
-      level_succs t (block t ~node ~time bid) ~time k u f
+      level_succs t ~node ~time:(block_time t ~node bid) bid k u f
     end
 
   (* The forcing pass: the successor rule over every vertex, straight
      into CSR rows, with each vertex described on the way.  Ids are
      walked in order — wait vertices node by node, then level vertices
-     block by block — so no vertex pays an id search, and each block is
-     built once and dropped. *)
+     block by block — so no vertex pays an id search. *)
   let force_body t =
     let vertex = Array.make t.nv (Wait { node = 0; point_idx = 0; time = 0. }) in
     let node = ref 0 in
     let bnode = ref 0 and bid = ref 0 and blevels_end = ref 0 and btime = ref 0. in
-    let b = ref { costs = [||]; fresh = [||] } in
     let succ u add =
       if u < t.total_wait then begin
         while u >= node_end t !node do incr node done;
         vertex.(u) <- wait_desc t ~node:!node u;
-        wait_succs t ~last:(u + 1 = node_end t !node) u add
+        wait_succs t ~node:!node ~last:(u + 1 = node_end t !node) u add
       end
       else begin
         let r = u - t.total_wait in
@@ -432,12 +462,11 @@ module Lazy = struct
           while t.level_off.(!bid + 1) <= r do incr bid done;
           while !bid >= node_end t !bnode do incr bnode done;
           btime := block_time t ~node:!bnode !bid;
-          b := make_block t ~node:!bnode ~time:!btime !bid;
           blevels_end := t.level_off.(!bid + 1)
         end;
         let k = r - t.level_off.(!bid) in
-        vertex.(u) <- level_desc t !b ~node:!bnode ~time:!btime !bid k;
-        level_succs t !b ~time:!btime k u add
+        vertex.(u) <- level_desc t ~node:!bnode ~time:!btime !bid k;
+        level_succs t ~node:!bnode ~time:!btime !bid k u add
       end
     in
     let graph = Digraph.of_succ ~n:t.nv ~m:t.edge_bound succ in
@@ -497,8 +526,7 @@ module Lazy = struct
     | None ->
         let bid, k = locate_level t id in
         let node = node_of_wait t bid in
-        let time = block_time t ~node bid in
-        level_desc t (block t ~node ~time bid) ~node ~time bid k
+        level_desc t ~node ~time:(block_time t ~node bid) bid k
 
   let wait_vertex t ~node ~point_idx =
     if node < 0 || node >= Array.length t.base || point_idx < 0 then None
@@ -520,5 +548,4 @@ module Lazy = struct
 end
 
 let force = Lazy.force
-let build problem dts =
-  force (Lazy.with_create_telemetry (fun () -> Lazy.create_body ~keep_marginals:true problem dts))
+let build problem dts = force (Lazy.create problem dts)

@@ -51,11 +51,11 @@ type t = {
 }
 
 val build : Problem.t -> Tmedb_tveg.Dts.t -> t
-(** The forced graph: {!Lazy.create} plus {!force}, with the sizing
-    pass's DCS marginals kept for the forcing pass so each block is
-    queried once.  Uses the instance's design channel for the DCS
-    costs: static minimum costs under [`Static], single-hop ε-costs
-    under the fading models (the FR backbone of Section VI-B). *)
+(** The forced graph: {!Lazy.create} plus {!force}, so each block's DCS
+    is queried once, by the sizing pass.  Uses the instance's design
+    channel for the DCS costs: static minimum costs under [`Static],
+    single-hop ε-costs under the fading models (the FR backbone of
+    Section VI-B). *)
 
 val wait_vertex : t -> node:int -> point_idx:int -> int option
 (** Id of wait vertex u_{node, point_idx}; [None] when the node has no
@@ -78,10 +78,12 @@ val num_level_vertices : t -> int
 
 (** Lazily expanded auxiliary graph (frontier materialisation).
 
-    A cheap exact-count pass fixes the id layout up front (wait ids
-    first, then level ids in block order); successors are generated on
-    demand from memoised DCS blocks, so only the frontier a traversal
-    actually pops is paid for.  The gap between {!Lazy.num_vertices}
+    A sizing pass fixes the id layout up front (wait ids first, then
+    level ids in block order) and records every DCS level in one flat
+    table: per node, each level's cost and fresh neighbours, and per
+    block, where its levels start.  Successors are generated on demand
+    from that table, so only the frontier a traversal actually pops
+    pays for edges, and no DCS is queried after creation.  The gap between {!Lazy.num_vertices}
     and {!Lazy.nodes_materialized} is the saving over forcing the
     O(N²L) graph. *)
 module Lazy : sig
@@ -89,11 +91,10 @@ module Lazy : sig
   (** A lazily expanded auxiliary graph over a problem and its DTS. *)
 
   val create : Problem.t -> Tmedb_tveg.Dts.t -> t
-  (** Exact-count pass only: O(Σ_blocks deg·log deg) DCS sizing, no
-      edge materialisation.  Uses the instance's design channel for
-      DCS costs, exactly like {!build}.  Forcing it later queries each
-      non-empty block's DCS a second time; use {!build} to force at
-      once. *)
+  (** The sizing pass: one {!Tmedb_tveg.Dcs.fill} per block whose
+      transmission can finish by the deadline, O(Σ_blocks deg·log deg),
+      filling the level table; no edge materialisation.  Uses the
+      instance's design channel for DCS costs, exactly like {!build}. *)
 
   val create_with :
     marginals:(node:int -> time:float -> Tmedb_tveg.Dcs.marginal list) ->
@@ -103,26 +104,24 @@ module Lazy : sig
     Problem.t ->
     Tmedb_tveg.Dts.t ->
     t
-  (** {!create} with the id layout supplied instead of counted: no DCS
-      block is built at creation time (one [marginals] call per
-      non-empty block reads its first-level cost).  [base]/[level_off]/
-      [edge_bound] must be exactly what the counting pass would have
-      produced for this (problem, dts) — a shared [Solve_state]
-      assembles them by offset arithmetic — and [marginals] must
-      return, for every block the layout gives levels, the same
-      marginal list [Dcs.marginals_at] would on the instance (blocks
-      the layout zeroes are never asked).  Vertex ids, edges and
+  (** {!create} with the id layout supplied instead of counted, and the
+      level table filled from [marginals] — one call per block the
+      layout gives levels; blocks it zeroes are never asked.
+      [base]/[level_off]/[edge_bound] must be exactly what the sizing
+      pass would have produced for this (problem, dts) — a shared
+      [Solve_state] assembles them by offset arithmetic — and
+      [marginals] must return the same marginal list
+      [Dcs.marginals_at] would on the instance.  Vertex ids, edges and
       adjacency orders are then identical to {!create}'s.  When
-      [marginals] hands a node's consecutive blocks one physical list,
-      as the shared memo does for a run of equal points, the graph
-      builds that run's block arrays once. *)
+      [marginals] hands a node's blocks one physical list again, as
+      the shared memo does for a run of equal points, the table
+      converts it once and the run's blocks share its rows. *)
 
   val view : t -> Digraph.view
   (** Forward successor view.  Before {!force} it runs the successor
-      rule per query: the first enumeration of a vertex bumps the
-      materialisation counters; a level vertex also materialises its
-      DCS block (memoised), a wait vertex reads the first-level cost
-      the sizing pass recorded.  After {!force} it reads the CSR. *)
+      rule per query over the level table; the first enumeration of a
+      vertex bumps the materialisation counters.  After {!force} it
+      reads the CSR. *)
 
   val rev_view : t -> Digraph.view
   (** Reverse (predecessor) view: [Digraph.view (Digraph.reverse g)]
@@ -131,8 +130,7 @@ module Lazy : sig
 
   val describe : t -> int -> vertex
   (** Vertex id → description (the forced graph's [vertex] array).
-      O(log V) plus a block memo lookup before {!force}, an array read
-      after.  @raise Invalid_argument on an out-of-range id. *)
+      O(log V) before {!force}, an array read after.  @raise Invalid_argument on an out-of-range id. *)
 
   val wait_vertex : t -> node:int -> point_idx:int -> int option
   (** Id of wait vertex u_{node, point_idx}; [None] when out of

@@ -48,8 +48,8 @@ let create ?cap_per_node (problem : Problem.t) =
   (* A node's neighbourhood only changes at its contact boundaries, so
      runs of consecutive points (19 per run on the uncapped N = 40
      Scale closure) query equal marginals.  Each run keeps one physical
-     list: the memo stays small for the GC, and the lazy generator
-     builds each run's block once per graph. *)
+     list: the memo stays small for the GC, and each lazy graph converts
+     each run into its level table once. *)
   let margs =
     Array.init n (fun i ->
         let prev = ref [] in

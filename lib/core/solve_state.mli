@@ -17,7 +17,8 @@
       graph (ρ_τ is strict at interval ends), and one finishing at or
       past T has no levels.  A run of consecutive points with equal
       marginals shares one physical list, so the memo holds one list
-      per run and each point's lazy graph builds one block per run;
+      per run and each point's lazy graph converts one list per run
+      into its level table;
     - per-deadline auxiliary-graph layouts ({!layout}) are assembled by
       offset arithmetic over cached per-block level counts, without
       re-enumerating any DCS block.
@@ -48,8 +49,9 @@ type layout = {
   edge_bound : int;  (** Eager build's edge-count upper bound. *)
 }
 (** Auxiliary-graph id layout of one deadline, as consumed by
-    {!Aux_graph.Lazy.create_with} — identical to the counting pass of
-    {!Aux_graph.Lazy.create} on the restricted instance. *)
+    {!Aux_graph.Lazy.create_with} — identical to the layout the sizing
+    pass of {!Aux_graph.Lazy.create} computes on the restricted
+    instance. *)
 
 val create : ?cap_per_node:int -> Problem.t -> t
 (** Build the shared state with horizon [problem.deadline]: compute

@@ -10,26 +10,26 @@ let c_settled = Tmedb_obs.Counter.make "dijkstra.settled"
 let t_run = Tmedb_obs.Timer.make "dijkstra.run"
 let h_relaxations = Tmedb_obs.Histogram.make "dijkstra.relaxations"
 
-(* Early-termination bookkeeping: a bool per vertex marking the targets
+(* Early-termination bookkeeping: a bit per vertex marking the targets
    not yet settled, plus their count.  When the count reaches zero the
    drain may stop: settled vertices carry final distances and their
    predecessor chains consist of settled vertices only (pop order is
    nondecreasing with non-negative weights), so every read a caller is
    allowed to make — dist/pred at a target, or a pred walk from one —
    is identical to the full drain's. *)
-type stop_set = { want : bool array; mutable pending : int }
+type stop_set = { want : Bitset.t; mutable pending : int }
 
 let stop_set_of n targets =
   match targets with
   | None -> None
   | Some ts ->
-      let want = Array.make n false in
+      let want = Bitset.create n in
       let pending = ref 0 in
       List.iter
         (fun v ->
           if v < 0 || v >= n then invalid_arg "Dijkstra: target out of range";
-          if not want.(v) then begin
-            want.(v) <- true;
+          if not (Bitset.mem want v) then begin
+            Bitset.set want v;
             incr pending
           end)
         ts;
@@ -71,8 +71,8 @@ let drain ?stop (vw : Digraph.view) dist pred queue =
     if d <= dist.(!u) then begin
       Tmedb_obs.Counter.incr c_settled;
       (match stop with
-      | Some s when s.want.(!u) ->
-          s.want.(!u) <- false;
+      | Some s when Bitset.mem s.want !u ->
+          Bitset.clear s.want !u;
           s.pending <- s.pending - 1
       | Some _ | None -> ());
       vw.Digraph.iter_succ !u relax

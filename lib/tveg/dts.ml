@@ -139,18 +139,18 @@ let latest_at_or_before t i time =
     Some pts.(!lo)
   end
 
-let earliest_at_or_after t i time =
+let index_at_or_after t i time =
   let pts = t.points.(i) in
-  let n = Array.length pts in
-  if n = 0 || time > pts.(n - 1) then None
-  else begin
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !hi > !lo do
-      let mid = (!lo + !hi) / 2 in
-      if pts.(mid) >= time then hi := mid else lo := mid + 1
-    done;
-    Some pts.(!lo)
-  end
+  let lo = ref 0 and hi = ref (Array.length pts) in
+  while !hi > !lo do
+    let mid = (!lo + !hi) / 2 in
+    if pts.(mid) >= time then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let earliest_at_or_after t i time =
+  let k = index_at_or_after t i time in
+  if k < Array.length t.points.(i) then Some t.points.(i).(k) else None
 
 let index_of_point t i p =
   let pts = t.points.(i) in

@@ -67,10 +67,16 @@ val latest_at_or_before : t -> int -> float -> float option
 (** Largest DTS point of the node that is <= the given time: the
     ET-law representative (Prop. 5.1) of that instant. *)
 
+val index_at_or_after : t -> int -> float -> int
+(** Index of the node's first DTS point that is >= the given time, or
+    its point count when every point precedes the time: one binary
+    search that finds an exact point and rounds a receive instant that
+    fell to the propagation cap forward alike. *)
+
 val earliest_at_or_after : t -> int -> float -> float option
 (** Smallest DTS point of the node that is >= the given time: the
     sound (conservative) rounding for receive instants that fell to
-    the propagation cap. *)
+    the propagation cap.  The point at {!index_at_or_after}. *)
 
 val index_of_point : t -> int -> float -> int option
 (** Position of an exact point in the node's sequence. *)

@@ -67,6 +67,7 @@ let of_pairs ~n ~span ~tau entries =
 let create ~n ~span ~tau entries =
   if n <= 0 then invalid_arg "Tveg.create: n <= 0";
   if tau < 0. then invalid_arg "Tveg.create: negative tau";
+  if not (Float.is_finite tau) then invalid_arg "Tveg.create: non-finite tau";
   (* Bucket every link under its pair's lower endpoint, newest entry
      first. *)
   let lower = Array.make n [] in
@@ -76,6 +77,7 @@ let create ~n ~span ~tau entries =
       if not (Interval.contains span link.iv) then
         invalid_arg "Tveg.create: link outside the span";
       if link.dist <= 0. then invalid_arg "Tveg.create: non-positive distance";
+      if not (Float.is_finite link.dist) then invalid_arg "Tveg.create: non-finite distance";
       if i < j then lower.(i) <- (j, link) :: lower.(i)
       else lower.(j) <- (i, link) :: lower.(j))
     entries;

@@ -17,10 +17,13 @@ type channel = [ `Static | `Rayleigh | `Nakagami of float | `Lognormal of float 
 type t
 
 val of_trace : tau:float -> Tmedb_trace.Trace.t -> t
-(** @raise Invalid_argument on negative τ. *)
+(** @raise Invalid_argument on a negative or non-finite τ. *)
 
 val create : n:int -> span:Interval.t -> tau:float -> (int * int * link) list -> t
-(** Direct construction for tests and gadget instances. *)
+(** Direct construction for tests and gadget instances.
+    @raise Invalid_argument on a node out of range, a self-loop, a
+    link outside the span, a distance that is not positive and finite,
+    or a τ that is not non-negative and finite. *)
 
 val n : t -> int
 val span : t -> Interval.t

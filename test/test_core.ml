@@ -796,6 +796,31 @@ let test_spt_on_scale_scenario () =
   let touched = Aux_graph.Lazy.nodes_materialized lz in
   check_bool "frontier cut" true (touched * 2 < total)
 
+(* A one-shot lazy SPT queries each block's DCS once, in the sizing
+   pass, and never again: the scan and the schedule read the level
+   table.  Scale scenarios have τ = 0, so every DTS point can finish by
+   the deadline and is sized. *)
+let test_spt_one_query_per_block () =
+  let g = Scale.scenario ~n:100 () in
+  let p =
+    Problem.make ~graph:g ~phy ~channel:`Static ~source:0 ~deadline:(Scale.deadline ()) ()
+  in
+  let queries = Tmedb_obs.Counter.make "dcs.queries" in
+  let points = Tmedb_obs.Counter.make "dts.points" in
+  let was = Tmedb_obs.enabled () in
+  Tmedb_obs.set_enabled true;
+  let q0 = Tmedb_obs.Counter.value queries and p0 = Tmedb_obs.Counter.value points in
+  let o, _ =
+    Fun.protect
+      ~finally:(fun () -> Tmedb_obs.set_enabled was)
+      (fun () ->
+        with_dts_warnings (fun () -> Spt.plan (Planner.Ctx.make ~cap_per_node:64 ()) p))
+  in
+  let sized = Tmedb_obs.Counter.value points - p0 in
+  Alcotest.(check (list int)) "everyone reached" [] o.Planner.Outcome.unreached;
+  check_bool "blocks sized" true (sized > 0);
+  check_int "one query per sized block" sized (Tmedb_obs.Counter.value queries - q0)
+
 (* ------------------------------------------------------------------ *)
 (* Static BIP baseline *)
 
@@ -1242,6 +1267,7 @@ let () =
           tc "quickstart" test_spt_quickstart;
           tc "lazy pinned" test_spt_lazy_pinned;
           tc "scale scenario end-to-end" test_spt_on_scale_scenario;
+          tc "one query per sized block" test_spt_one_query_per_block;
         ] );
       ( "eedcb",
         [

@@ -84,7 +84,24 @@ let test_tveg_validation () =
   Alcotest.check_raises "bad distance" (Invalid_argument "Tveg.create: non-positive distance")
     (fun () -> ignore (Tveg.create ~n:2 ~span:span10 ~tau:0. [ (0, 1, link 0. 1. 0.) ]));
   Alcotest.check_raises "negative tau" (Invalid_argument "Tveg.create: negative tau") (fun () ->
-      ignore (Tveg.create ~n:2 ~span:span10 ~tau:(-1.) []))
+      ignore (Tveg.create ~n:2 ~span:span10 ~tau:(-1.) []));
+  List.iter
+    (fun d ->
+      Alcotest.check_raises
+        (Printf.sprintf "distance %g" d)
+        (Invalid_argument "Tveg.create: non-finite distance")
+        (fun () -> ignore (Tveg.create ~n:2 ~span:span10 ~tau:0. [ (0, 1, link 0. 1. d) ])))
+    [ Float.nan; Float.infinity ];
+  Alcotest.check_raises "distance -inf" (Invalid_argument "Tveg.create: non-positive distance")
+    (fun () ->
+      ignore (Tveg.create ~n:2 ~span:span10 ~tau:0. [ (0, 1, link 0. 1. Float.neg_infinity) ]));
+  List.iter
+    (fun tau ->
+      Alcotest.check_raises
+        (Printf.sprintf "tau %g" tau)
+        (Invalid_argument "Tveg.create: non-finite tau")
+        (fun () -> ignore (Tveg.create ~n:2 ~span:span10 ~tau [])))
+    [ Float.nan; Float.infinity ]
 
 (* Model-based check of the contact store: random contact lists with
    overlapping segments, shared endpoints and duplicate intervals, both
@@ -288,7 +305,17 @@ let test_dts_earliest_at_or_after () =
   Array.iter
     (fun p ->
       Alcotest.(check (option (float 0.))) "exact hit" (Some p) (Dts.earliest_at_or_after dts 0 p))
-    p0
+    p0;
+  (* The index query agrees with [index_of_point] on every point and
+     rounds a time between points up to the next one. *)
+  Array.iteri
+    (fun k p ->
+      check_int "index of a point" k (Dts.index_at_or_after dts 0 p);
+      Alcotest.(check (option int)) "same as index_of_point" (Some k) (Dts.index_of_point dts 0 p);
+      if k > 0 then
+        check_int "between points" k (Dts.index_at_or_after dts 0 ((p0.(k - 1) +. p) /. 2.)))
+    p0;
+  check_int "past last index" (Array.length p0) (Dts.index_at_or_after dts 0 99.)
 
 let test_dts_source_pruning () =
   (* 0--1 on [0,4); 1--2 on [3,7): node 2 cannot hold the packet from
@@ -430,6 +457,116 @@ let prop_dcs_nested =
         | _ -> true
       in
       nested levels)
+
+(* The list-sort DCS the kernel replaced, kept verbatim as the
+   reference: cost every live neighbour, sort the (cost, id) pairs,
+   merge equal costs, clamp to w_min. *)
+module Reference = struct
+  let epsilon_cost ed phy =
+    match Ed_function.cost_for_failure ed ~target:phy.Phy.eps with
+    | Some w -> w
+    | None -> Float.infinity
+
+  let neighbour_cost ~phy ~channel ~dist =
+    match channel with
+    | `Static -> Phy.min_cost phy ~dist
+    | `Rayleigh -> Phy.fading_reference_cost phy ~dist
+    | `Nakagami m -> epsilon_cost (Ed_function.nakagami ~beta:(Phy.beta phy ~dist) ~m) phy
+    | `Lognormal sigma ->
+        epsilon_cost (Ed_function.lognormal ~beta:(Phy.beta phy ~dist) ~sigma) phy
+
+  let marginals_at g ~phy ~channel ~node ~time =
+    let costed = ref [] in
+    Tveg.iter_neighbors_at g node time (fun j dist ->
+        let w = neighbour_cost ~phy ~channel ~dist in
+        if w <= phy.Phy.w_max then costed := (w, j) :: !costed);
+    let costed =
+      List.sort
+        (fun (wa, ja) (wb, jb) ->
+          let c = Float.compare wa wb in
+          if c <> 0 then c else Int.compare ja jb)
+        !costed
+    in
+    let rec build = function
+      | [] -> []
+      | (w, j) :: rest ->
+          let rec absorb fresh_rev rest =
+            match rest with
+            | (w', j') :: tl when Float.equal w' w -> absorb (j' :: fresh_rev) tl
+            | _ -> (fresh_rev, rest)
+          in
+          let fresh_rev, rest = absorb [ j ] rest in
+          { Dcs.cost = Float.max phy.Phy.w_min w; fresh = List.rev fresh_rev } :: build rest
+    in
+    build costed
+
+  let at g ~phy ~channel ~node ~time =
+    let rec merge a b =
+      match (a, b) with
+      | [], l | l, [] -> l
+      | x :: xt, y :: yt ->
+          if x < y then x :: merge xt b else if x > y then y :: merge a yt else x :: merge xt yt
+    in
+    let rec accum covered = function
+      | [] -> []
+      | { Dcs.cost; fresh } :: rest ->
+          let covered = merge covered fresh in
+          { Dcs.cost; covered } :: accum covered rest
+    in
+    accum [] (marginals_at g ~phy ~channel ~node ~time)
+end
+
+(* The DCS kernel against the reference on random graphs.  Distances
+   come from a small set, so equal costs merge; w_min and w_max sit on
+   two of them, so the nearest neighbours clamp and the farthest drop.
+   About every fifth static or Rayleigh graph (the fading models'
+   costs are slow to compute) links node 0 to 90 or more nodes over
+   the whole span, so it serves more than 64, past the kernel's
+   insertion-sort range. *)
+let prop_dcs_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel = list-sort reference" ~count:200 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create seed in
+      let channel =
+        Rng.pick_list rng [ `Static; `Rayleigh; `Nakagami 2.; `Lognormal 1. ]
+      in
+      let fast = match channel with `Static | `Rayleigh -> true | `Nakagami _ | `Lognormal _ -> false in
+      let wide = seed mod 5 = 0 && fast in
+      let n = if wide then 90 + Rng.int rng 20 else 2 + Rng.int rng 10 in
+      let tau = if Rng.bool rng then 0. else 1. in
+      let dists = [| 5.; 8.; 12.; 20.; 30.; 45.; 60.; 80. |] in
+      let cost d = Reference.neighbour_cost ~phy:Phy.default ~channel ~dist:d in
+      let phy = Phy.make ~w_min:(cost 12.) ~w_max:(cost 45.) () in
+      let entries = ref [] in
+      for i = 0 to n - 2 do
+        for j = i + 1 to n - 1 do
+          if wide && i = 0 then entries := (i, j, link 0. 10. (Rng.pick rng dists)) :: !entries
+          else if Rng.int rng 3 > 0 then
+            for _ = 0 to Rng.int rng 2 do
+              let lo = Rng.float rng 8. in
+              let hi = Float.min 10. (lo +. 0.5 +. Rng.float rng 6.) in
+              entries := (i, j, link lo hi (Rng.pick rng dists)) :: !entries
+            done
+        done
+      done;
+      let g = Tveg.create ~n ~span:span10 ~tau !entries in
+      let same_marginal (a : Dcs.marginal) (b : Dcs.marginal) =
+        Float.equal a.Dcs.cost b.Dcs.cost && List.equal Int.equal a.Dcs.fresh b.Dcs.fresh
+      in
+      let same_level (a : Dcs.level) (b : Dcs.level) =
+        Float.equal a.Dcs.cost b.Dcs.cost && List.equal Int.equal a.Dcs.covered b.Dcs.covered
+      in
+      List.for_all
+        (fun node ->
+          List.for_all
+            (fun time ->
+              List.equal same_marginal
+                (Dcs.marginals_at g ~phy ~channel ~node ~time)
+                (Reference.marginals_at g ~phy ~channel ~node ~time)
+              && List.equal same_level (Dcs.at g ~phy ~channel ~node ~time)
+                   (Reference.at g ~phy ~channel ~node ~time))
+            [ 0.; 1.5; 3.; 4.5; 6.; 7.5; 9. ])
+        (List.init (min n 4) (fun i -> i)))
 
 let prop_dts_points_in_range =
   QCheck.Test.make ~name:"DTS points within [span.lo, deadline]" ~count:50 QCheck.small_int
@@ -720,5 +857,6 @@ let () =
           tc "equal costs merge" test_dcs_equal_costs_merge;
           tc "level covering" test_dcs_level_covering;
           QCheck_alcotest.to_alcotest prop_dcs_nested;
+          QCheck_alcotest.to_alcotest prop_dcs_kernel_matches_reference;
         ] );
     ]
