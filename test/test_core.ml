@@ -1200,6 +1200,45 @@ let test_dts_view_pinned_capped_scale () =
       (1200., 0, "6fbf062793690308464a0ed61e71f8b9");
     ]
 
+(* Source picks, degree windows and trace statistics, pinned to the
+   digests of the dense presence-table implementation they once went
+   through (an O(N^2) table per contact).  The sparse store must give
+   the same picks and the same floats, bit for bit. *)
+let pin_config =
+  { Experiment.default_config with Experiment.horizon = 8000.; deadline = 1500.; sources = 3 }
+
+let pin_traces () = List.map (fun n -> Experiment.make_trace pin_config ~n) [ 8; 12; 20 ]
+
+(* fig7's density ramp, scaled to the horizon as fig7 scales it. *)
+let ramp_trace () =
+  let h = pin_config.Experiment.horizon in
+  let density_profile = Tmedb_trace.Synth.ramp_profile ~t0:(0.29 *. h) ~t1:(0.47 *. h) ~low:0.25 in
+  Experiment.make_trace ~density_profile pin_config ~n:16
+
+let test_degree_windows_pinned () =
+  let g = Tveg.of_trace ~tau:0. (ramp_trace ()) in
+  let series =
+    List.init 16 (fun k ->
+        let t0 = 500. *. float_of_int k in
+        Tveg.average_degree_over g ~window:(iv t0 (t0 +. 500.)))
+  in
+  Alcotest.(check string) "500 s windows" "b516886e577790174055994f009975ee" (hex_digest series)
+
+let test_source_picks_pinned () =
+  let picks =
+    List.concat_map
+      (fun trace ->
+        List.map
+          (fun deadline -> Experiment.choose_sources pin_config ~trace ~deadline)
+          [ 500.; 1500.; 4000. ])
+      (pin_traces ())
+  in
+  Alcotest.(check string) "picks" "82d43f350e29078414aa8bd14dc31f16" (hex_digest picks)
+
+let test_trace_stats_pinned () =
+  let stats = List.map Tmedb_trace.Trace.stats (ramp_trace () :: pin_traces ()) in
+  Alcotest.(check string) "stats" "49dca45bd0e765bf993c0da91f353a99" (hex_digest stats)
+
 let test_spt_lazy_pinned_scale () =
   let g = Scale.scenario ~n:100 () in
   let p =
@@ -1341,5 +1380,8 @@ let () =
           tc "capped DTS pinned (mid-propagation)" test_dts_cap_pinned_mid_propagation;
           tc "capped DTS view pinned (Scale N=100)" test_dts_view_pinned_capped_scale;
           tc "lazy SPT pinned (Scale N=100)" test_spt_lazy_pinned_scale;
+          tc "degree windows pinned" test_degree_windows_pinned;
+          tc "source picks pinned" test_source_picks_pinned;
+          tc "trace stats pinned" test_trace_stats_pinned;
         ] );
     ]
