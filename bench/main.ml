@@ -1,13 +1,12 @@
 (* Benchmark harness: regenerates every table/figure of the paper's
-   evaluation (Section VII) and times the computational kernels with
-   Bechamel.
+   evaluation (Section VII), the design-choice ablations and the
+   deterministic kernel baseline.
 
    Usage:
-     dune exec bench/main.exe            -- everything (figures, ablations, kernels)
+     dune exec bench/main.exe            -- everything (figures, ablations, baseline)
      dune exec bench/main.exe quick      -- reduced-scale smoke run (writes BENCH_1.json)
      dune exec bench/main.exe fig4a      -- a single figure (fig4a..fig7b)
      dune exec bench/main.exe ablation   -- design-choice ablations
-     dune exec bench/main.exe bechamel   -- kernel timings only
      dune exec bench/main.exe baseline   -- parallel baseline only (writes BENCH_1.json)
      dune exec bench/main.exe obs        -- telemetry overhead check (disabled-path cost)
      dune exec bench/main.exe nscale     -- lazy SPT frontier scaling (add --quick for CI)
@@ -238,100 +237,6 @@ let ablations config =
       ablation_nlp config;
       ablation_dts_cap config;
       ablation_tau config)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel kernels: one Test.make per figure, timing the pipeline
-   that produces a single data point of that figure at small scale. *)
-
-let kernel_config =
-  {
-    Experiment.default_config with
-    Experiment.n = 10;
-    horizon = 6000.;
-    deadline = 1500.;
-    sources = 1;
-    mc_trials = 50;
-    dts_cap = 600;
-  }
-
-let kernel_trace = lazy (Experiment.make_trace kernel_config ~n:10)
-
-let kernel_point algorithm () =
-  let trace = Lazy.force kernel_trace in
-  let r =
-    Experiment.run_alg kernel_config ~trace ~source:0 ~deadline:1500.
-      ~rng:(Tmedb_prelude.Rng.create 9) algorithm
-  in
-  ignore (Sys.opaque_identity r.Experiment.energy)
-
-let kernel_simulate () =
-  let trace = Lazy.force kernel_trace in
-  let problem = Experiment.make_problem kernel_config ~trace ~channel:`Rayleigh ~source:0 ~deadline:1500. in
-  let greedy_ctx = Planner.Ctx.make ~cap_per_node:600 () in
-  let schedule = (Greedy.plan greedy_ctx problem).Planner.Outcome.schedule in
-  let sim =
-    Simulate.run ~trials:50 ~rng:(Tmedb_prelude.Rng.create 2) ~eval_channel:`Rayleigh problem
-      schedule
-  in
-  ignore (Sys.opaque_identity sim.Simulate.delivery_ratio)
-
-let kernel_window () =
-  let trace = Lazy.force kernel_trace in
-  let sub =
-    Tmedb_trace.Trace.restrict trace ~span:(Tmedb_prelude.Interval.make ~lo:2000. ~hi:4000.)
-  in
-  let r =
-    Experiment.run_alg kernel_config ~trace:sub ~source:0 ~deadline:4000.
-      ~rng:(Tmedb_prelude.Rng.create 9) (alg "EEDCB")
-  in
-  ignore (Sys.opaque_identity r.Experiment.energy)
-
-let kernel_degree () =
-  let trace = Lazy.force kernel_trace in
-  let graph = Tmedb_tveg.Tveg.of_trace ~tau:0. trace in
-  let d =
-    Tmedb_tveg.Tveg.average_degree_over graph
-      ~window:(Tmedb_prelude.Interval.make ~lo:1000. ~hi:1500.)
-  in
-  ignore (Sys.opaque_identity d)
-
-let bechamel_kernels () =
-  let open Bechamel in
-  let open Toolkit in
-  section "Bechamel kernels (one per figure; single data point, N=10 scale)";
-  let tests =
-    Test.make_grouped ~name:"figures"
-      [
-        Test.make ~name:"fig4a-eedcb-point" (Staged.stage (kernel_point (alg "EEDCB")));
-        Test.make ~name:"fig4b-fr-eedcb-point" (Staged.stage (kernel_point (alg "FR-EEDCB")));
-        Test.make ~name:"fig5a-greed-point" (Staged.stage (kernel_point (alg "GREED")));
-        Test.make ~name:"fig5b-fr-greed-point" (Staged.stage (kernel_point (alg "FR-GREED")));
-        Test.make ~name:"fig6a-rand-point" (Staged.stage (kernel_point (alg "RAND")));
-        Test.make ~name:"fig6b-mc-delivery" (Staged.stage kernel_simulate);
-        Test.make ~name:"fig7a-window-eedcb" (Staged.stage kernel_window);
-        Test.make ~name:"fig7b-average-degree" (Staged.stage kernel_degree);
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name est acc -> (name, est) :: acc) results [] in
-  Printf.printf "%-40s %16s\n" "kernel" "time/run";
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some (t :: _) ->
-          let pretty =
-            if t > 1e9 then Printf.sprintf "%.2f s" (t /. 1e9)
-            else if t > 1e6 then Printf.sprintf "%.2f ms" (t /. 1e6)
-            else Printf.sprintf "%.2f us" (t /. 1e3)
-          in
-          Printf.printf "%-40s %16s\n%!" name pretty
-      | Some [] | None -> Printf.printf "%-40s %16s\n%!" name "-")
-    (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
 (* N-scaling: SPT's scan on the lazy auxiliary graph against EEDCB on
@@ -1207,7 +1112,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [--jobs K] [--chunk K] [--metrics FILE] [--trace FILE] [--profile DIR] \
      [--threshold REL] [--speedup-floor F] \
-     [quick|fig4a|fig4b|fig5a|fig5b|fig6a|fig6b|fig7a|fig7b|ablation|bechamel|baseline|regress|obs|lint|nscale \
+     [quick|fig4a|fig4b|fig5a|fig5b|fig6a|fig6b|fig7a|fig7b|ablation|baseline|regress|obs|lint|nscale \
      [--quick]|pareto [--quick]|trend [--json]]";
   exit 2
 
@@ -1304,12 +1209,10 @@ let () =
   | [] ->
       all_figures bench_config;
       ablations bench_config;
-      bechamel_kernels ();
       ignore (baseline ())
   | [ "quick" ] ->
       all_figures quick_config;
       ablations quick_config;
-      bechamel_kernels ();
       ignore (baseline ())
   | [ "fig4a" ] -> fig4 bench_config `Static
   | [ "fig4b" ] -> fig4 bench_config `Fading
@@ -1320,7 +1223,6 @@ let () =
   | [ "fig7a" ] -> fig7 bench_config `Static
   | [ "fig7b" ] -> fig7 bench_config `Fading
   | [ "ablation" ] -> ablations bench_config
-  | [ "bechamel" ] -> bechamel_kernels ()
   | [ "baseline" ] -> ignore (baseline ())
   | [ "regress" ] -> regress ()
   | [ "obs" ] -> obs_overhead ()

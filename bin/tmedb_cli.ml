@@ -188,9 +188,10 @@ let load_trace path =
 (* The boundary check of the planning subcommands, run on their
    arguments before any of them reaches a kernel: every deadline finite
    and inside the trace span (lo, hi], the source a node of the trace,
-   the Steiner level at least 1.  Bad input exits 2 with a readable
-   message instead of an uncaught exception. *)
-let check_args cmd trace ?level ~source deadlines =
+   the Steiner level at least 1, the Monte-Carlo trial count [k] of
+   [~trials:(k, least)] at least [least].  Bad input exits 2 with a
+   readable message instead of an uncaught exception. *)
+let check_args cmd trace ?level ?trials ~source deadlines =
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -209,7 +210,8 @@ let check_args cmd trace ?level ~source deadlines =
   Option.iter
     (fun s -> if s < 0 || s >= n then fail "source %d is not a node of the trace [0, %d)" s n)
     source;
-  Option.iter (fun l -> if l < 1 then fail "level %d is below 1" l) level
+  Option.iter (fun l -> if l < 1 then fail "level %d is below 1" l) level;
+  Option.iter (fun (k, least) -> if k < least then fail "trials %d is below %d" k least) trials
 
 let pick_source trace deadline seed = function
   | Some s -> s
@@ -314,7 +316,7 @@ let run_cmd =
     in
     with_telemetry ?timestamp ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
-    check_args "run" trace ~level ~source [ deadline ];
+    check_args "run" trace ~level ~trials:(trials, 0) ~source [ deadline ];
     let source = pick_source trace deadline seed source in
     let config = { Experiment.default_config with Experiment.seed; steiner_level = level } in
     let result =
@@ -438,7 +440,7 @@ let compare_cmd =
   let run deadline source seed level trials jobs all metrics trace_file profile watchdog path =
     with_telemetry ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
-    check_args "compare" trace ~level ~source [ deadline ];
+    check_args "compare" trace ~level ~trials:(trials, 1) ~source [ deadline ];
     let source = pick_source trace deadline seed source in
     let config = { Experiment.default_config with Experiment.seed; steiner_level = level } in
     let algorithms = if all then Registry.all else Registry.paper in
@@ -520,7 +522,7 @@ let simulate_cmd =
       watchdog path =
     with_telemetry ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
-    check_args "simulate" trace ~source [ deadline ];
+    check_args "simulate" trace ~trials:(trials, 1) ~source [ deadline ];
     let source = pick_source trace deadline seed source in
     let config = { Experiment.default_config with Experiment.seed } in
     let schedule =

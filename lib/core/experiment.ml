@@ -47,9 +47,9 @@ let make_problem config ~trace ~channel ~source ~deadline =
 let choose_sources config ~trace ~deadline =
   let rng = Rng.create (config.seed lxor 0x5eed) in
   let n = Trace.n trace in
-  let graph = Trace.to_tvg trace in
+  let graph = Tveg.of_trace ~tau:0. trace in
   let reachable src =
-    Tmedb_tvg.Reachability.is_broadcastable graph ~tau:0. ~src ~t0:0. ~deadline
+    Array.for_all (fun a -> a <= deadline) (Tveg.earliest_arrival graph ~src ~t0:0.)
   in
   let rec draw k acc tries =
     if k = 0 then List.rev acc

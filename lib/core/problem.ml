@@ -25,13 +25,9 @@ let span_start t = (Tveg.span t.graph).Interval.lo
 let non_source_nodes t =
   List.filter (fun v -> v <> t.source) (List.init (n t) (fun i -> i))
 
-let is_reachable t =
-  Tmedb_tvg.Reachability.is_broadcastable (Tveg.to_tvg t.graph) ~tau:(tau t) ~src:t.source
-    ~t0:(span_start t) ~deadline:t.deadline
-
-let completion_lower_bound t =
-  Tmedb_tvg.Reachability.broadcast_completion_time (Tveg.to_tvg t.graph) ~tau:(tau t)
-    ~src:t.source ~t0:(span_start t)
+let arrivals t = Tveg.earliest_arrival t.graph ~src:t.source ~t0:(span_start t)
+let is_reachable t = Array.for_all (fun a -> a <= t.deadline) (arrivals t)
+let completion_lower_bound t = Array.fold_left Float.max (span_start t) (arrivals t)
 
 let clip t =
   let span = Tveg.span t.graph in

@@ -107,7 +107,7 @@ let under dir path = path = dir || starts_with ~prefix:(dir ^ "/") path
 let under_any dirs path = List.exists (fun d -> under d path) dirs
 
 (* Libraries whose iteration order reaches figure output. *)
-let result_affecting = [ "lib/core"; "lib/steiner"; "lib/tveg"; "lib/tvg"; "lib/trace" ]
+let result_affecting = [ "lib/core"; "lib/steiner"; "lib/tveg"; "lib/trace" ]
 
 (* Numeric kernels where polymorphic comparison on floats hides NaN
    surprises and boxing. *)

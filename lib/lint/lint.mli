@@ -7,7 +7,7 @@
     - {b R1 nondet-iteration}: [Hashtbl.iter]/[Hashtbl.fold]/
       [Hashtbl.to_seq*] whose result is not re-sorted, in the
       result-affecting libraries ([lib/core], [lib/steiner],
-      [lib/tveg], [lib/tvg], [lib/trace]).  Hash-bucket order is not
+      [lib/tveg], [lib/trace]).  Hash-bucket order is not
       part of any contract; iterating it unsorted makes figures depend
       on insertion history.
     - {b R2 hidden-rng}: any use of [Stdlib.Random] outside

@@ -26,12 +26,6 @@ let restrict t ~span:window =
   in
   { t with span = window; contacts = List.filter_map clip t.contacts }
 
-let to_tvg t =
-  List.fold_left
-    (fun g c -> Tmedb_tvg.Tvg.add_presence g c.Contact.a c.Contact.b c.Contact.iv)
-    (Tmedb_tvg.Tvg.create ~n:t.n ~span:t.span)
-    t.contacts
-
 let to_csv t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -45,9 +39,17 @@ let to_csv t =
     t.contacts;
   Buffer.contents buf
 
-let parse_header line =
-  try Scanf.sscanf line "# tmedb-trace n=%d span=%f,%f" (fun n lo hi -> Some (n, lo, hi))
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+(* A line that opens with [# tmedb-trace] must parse as a header; read
+   as a comment, it would let the contacts' extent replace the declared
+   node count and span. *)
+let parse_header lineno line =
+  let fail msg = Error (Printf.sprintf "line %d: malformed trace header: %s" lineno msg) in
+  match Scanf.sscanf line "# tmedb-trace n=%d span=%f,%f" (fun n lo hi -> (n, lo, hi)) with
+  | _, lo, hi when not (Float.is_finite lo && Float.is_finite hi && lo < hi) ->
+      fail "span must be finite with lo < hi"
+  | h -> Ok h
+  | exception (Scanf.Scan_failure msg | Failure msg) -> fail msg
+  | exception End_of_file -> fail "truncated"
 
 let parse_line lineno line =
   try
@@ -65,11 +67,12 @@ let of_csv text =
     | line :: rest ->
         let line = String.trim line in
         if line = "" then go (lineno + 1) header acc rest
-        else if String.length line > 0 && line.[0] = '#' then begin
-          match parse_header line with
-          | Some h -> go (lineno + 1) (Some h) acc rest
-          | None -> go (lineno + 1) header acc rest
+        else if String.starts_with ~prefix:"# tmedb-trace" line then begin
+          match parse_header lineno line with
+          | Ok h -> go (lineno + 1) (Some h) acc rest
+          | Error e -> Error e
         end
+        else if line.[0] = '#' then go (lineno + 1) header acc rest
         else begin
           match parse_line lineno line with
           | Ok c -> go (lineno + 1) header (c :: acc) rest
@@ -151,6 +154,14 @@ let stats t =
     pairs_sorted;
   let gaps = Array.of_list !gaps in
   let pairs = Hashtbl.length by_pair in
+  (* Each pair's presence is the union of its contacts (all inside the
+     span), summed in the same sorted pair order. *)
+  let presence_total =
+    List.fold_left
+      (fun acc (_, cs) ->
+        acc +. Interval_set.total_length (Interval_set.of_list (List.map (fun c -> c.Contact.iv) cs)))
+      0. pairs_sorted
+  in
   let safe_mean xs = if Array.length xs = 0 then 0. else Stats.mean xs in
   let safe_median xs = if Array.length xs = 0 then 0. else Stats.median xs in
   {
@@ -162,7 +173,7 @@ let stats t =
     contacts_per_pair =
       (if pairs = 0 then 0. else float_of_int (List.length t.contacts) /. float_of_int pairs);
     pairs_with_contact = pairs;
-    mean_degree = Tmedb_tvg.Tvg.average_degree_over (to_tvg t) ~window:t.span;
+    mean_degree = 2. *. presence_total /. (float_of_int t.n *. Interval.length t.span);
   }
 
 let pp_stats ppf s =

@@ -20,14 +20,13 @@ val restrict : t -> span:Interval.t -> t
 (** Contacts clipped to the window (partially overlapping contacts are
     truncated; fully outside dropped). *)
 
-val to_tvg : t -> Tmedb_tvg.Tvg.t
-(** Presence graph forgetting distances. *)
-
 (** {1 CSV}
 
     One contact per line: [a,b,t_start,t_end,dist] with floats in
     decimal notation; lines starting with ['#'] are comments.  The
-    header comment carries [n] and the span. *)
+    header comment [# tmedb-trace n=N span=LO,HI] carries [n] and the
+    span; a line starting with [# tmedb-trace] that does not parse as
+    one is an error, not a comment. *)
 
 val to_csv : t -> string
 val of_csv : string -> (t, string) result
@@ -44,7 +43,9 @@ type stats = {
   median_inter_contact : float;
   contacts_per_pair : float;
   pairs_with_contact : int;
-  mean_degree : float;  (** Time-averaged over the span. *)
+  mean_degree : float;
+      (** Time-averaged over the span: (2 Σ_{a<b} |presence_ab|) /
+          (n |span|), each pair's presence the union of its contacts. *)
 }
 
 val stats : t -> stats

@@ -18,8 +18,7 @@ let t_compute = Tmedb_obs.Timer.make "dts.compute"
 type t = { deadline : float; lo : float; points : float array array; arrival : float array }
 
 let base_points g ~deadline ~min_time i =
-  let pts = Tmedb_tvg.Partition.points (Tveg.adjacent_partition g i) in
-  Array.to_list pts
+  Array.to_list (Tveg.adjacent_partition g i)
   |> List.filter (fun p -> p <= deadline && p >= min_time.(i))
   |> FloatSet.of_list
 

@@ -7,8 +7,8 @@ type channel = [ `Static | `Rayleigh | `Nakagami of float | `Lognormal of float 
    start; [prefmax.(k)] is the max segment end over segs.(0..k), which
    bounds the leftward scan in [covering_link] (overlapping segments
    are rare, so lookups are O(log L) in practice).  [presence] is the
-   normalised union of the segment intervals, shared with the TVG
-   algebra and the earliest-arrival scan. *)
+   normalised union of the segment intervals, read by the
+   earliest-arrival scan and the degree average. *)
 type pair = { segs : link array; prefmax : float array; presence : Interval_set.t }
 
 (* Sparse storage: only pairs with at least one contact exist.
@@ -220,27 +220,28 @@ let nth_dist_at t i k time =
   let s = live_idx t p time in
   if s < 0 then None else Some p.segs.(s).dist
 
-let to_tvg t =
-  let g = ref (Tmedb_tvg.Tvg.create ~n:t.n ~span:t.span) in
-  for i = 0 to t.n - 1 do
-    Array.iter
-      (fun j ->
-        if j > i then
-          List.iter (fun l -> g := Tmedb_tvg.Tvg.add_presence !g i j l.iv) (links t i j))
-      t.adj.(i)
-  done;
-  !g
-
+(* Every segment lies inside the span ([create] checks it and
+   [restrict] clips to the new span), so the points need no filter. *)
 let adjacent_partition t i =
   let pts = ref [] in
   Array.iter
     (fun p ->
       Array.iter (fun l -> pts := l.iv.Interval.lo :: l.iv.Interval.hi :: !pts) p.segs)
     t.pairs.(i);
-  Tmedb_tvg.Partition.make ~span:t.span !pts
+  Array.of_list (List.sort_uniq Float.compare (t.span.Interval.lo :: t.span.Interval.hi :: !pts))
 
 let average_degree_over t ~window =
-  Tmedb_tvg.Tvg.average_degree_over (to_tvg t) ~window
+  let clip = Interval_set.single window in
+  let total = ref 0. in
+  for i = 0 to t.n - 1 do
+    Array.iteri
+      (fun k j ->
+        if j > i then
+          total :=
+            !total +. Interval_set.total_length (Interval_set.inter t.pairs.(i).(k).presence clip))
+      t.adj.(i)
+  done;
+  2. *. !total /. (float_of_int t.n *. Interval.length window)
 
 let restrict t ~span:sub =
   if not (Interval.contains t.span sub) then invalid_arg "Tveg.restrict: span not contained";
@@ -262,12 +263,9 @@ let restrict t ~span:sub =
   done;
   of_pairs ~n:t.n ~span:sub ~tau:t.tau !kept
 
-(* Temporal Dijkstra over contact segments (the Tvg journey scan,
-   restated on the sparse adjacency): from a node reached at time [a],
-   a presence window [lo, hi) can be traversed departing at
-   max(a, lo) provided the traversal fits before [hi].  Replaces the
-   O(N^2) densification [Journey.earliest_arrival (to_tvg g)] on the
-   DTS source-pruning path. *)
+(* Temporal Dijkstra over each pair's presence windows: from a node
+   reached at time [a], a window [lo, hi) can be traversed departing at
+   max(a, lo) provided the traversal fits before [hi]. *)
 let earliest_arrival t ~src ~t0 =
   if src < 0 || src >= t.n then invalid_arg "Tveg.earliest_arrival: src out of range";
   let arrivals = Array.make t.n Float.infinity in

@@ -75,14 +75,22 @@ val presence : t -> int -> int -> Interval_set.t
 
 val earliest_arrival : t -> src:int -> t0:float -> float array
 (** Earliest packet arrival per node from [src] starting at [t0]
-    (temporal Dijkstra over contact segments, traversal latency τ).
-    Equals [Journey.earliest_arrival (to_tvg g)] without the O(N²)
-    densification: O((C + N log N)) for C contact segments. *)
+    (temporal Dijkstra over each pair's {!presence}, traversal latency
+    τ); [infinity] for a node no journey reaches, [t0] at [src].  This
+    one scan answers temporal reachability: every node is
+    journey-reachable by a deadline when every arrival is at most it.
+    O(C + N log N) for C contact segments. *)
 
-val to_tvg : t -> Tmedb_tvg.Tvg.t
-val adjacent_partition : t -> int -> Tmedb_tvg.Partition.t
-(** P^ad_i over the graph span (Equation 9). *)
+val adjacent_partition : t -> int -> float array
+(** P^ad_i over the graph span (Equation 9): the span endpoints and
+    every endpoint of a contact segment of node [i], sorted ascending
+    without duplicates.  Within each interval between consecutive
+    points the set of nodes connected to [i] is constant. *)
 
 val average_degree_over : t -> window:Interval.t -> float
+(** Time-averaged mean node degree over the window (Fig. 7(b)):
+    (2 Σ_{i<j} |presence_ij ∩ window|) / (n |window|), summed in
+    ascending (i, j) order. *)
+
 val restrict : t -> span:Interval.t -> t
 val pp : Format.formatter -> t -> unit

@@ -189,6 +189,11 @@ for cmd in run compare; do
   expect_exit2 "$cmd" --deadline 8 --level=-1 "$tt"
 done
 expect_exit2 pareto --deadline-list 2,8 --level 0 "$tt"
+for cmd in compare simulate; do
+  expect_exit2 "$cmd" --deadline 8 --trials 0 "$tt"
+  expect_exit2 "$cmd" --deadline 8 --trials=-3 "$tt"
+done
+expect_exit2 run --deadline 8 --trials=-3 "$tt"
 
 # Bench gates at quick scale: shared == independent point lists and
 # sublinear reuse counters (bench exits non-zero on either), with the

@@ -3,6 +3,7 @@
 
 open Tmedb_prelude
 open Tmedb_trace
+open Tmedb_tveg
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -73,11 +74,13 @@ let test_trace_restrict () =
     (fun c -> check_bool "inside window" true (Interval.contains (iv 15. 45.) c.Contact.iv))
     (Trace.contacts r)
 
-let test_trace_to_tvg () =
-  let g = Trace.to_tvg (sample_trace ()) in
-  check_bool "0-1 at 15" true (Tmedb_tvg.Tvg.present g 0 1 15.);
-  check_bool "0-1 at 30" false (Tmedb_tvg.Tvg.present g 0 1 30.);
-  check_bool "2-3 at 50" true (Tmedb_tvg.Tvg.present g 2 3 50.)
+(* The trace's presence graph, as the sparse store builds it. *)
+let test_trace_presence () =
+  let g = Tveg.of_trace ~tau:0. (sample_trace ()) in
+  let present i j t = Interval_set.mem (Tveg.presence g i j) t in
+  check_bool "0-1 at 15" true (present 0 1 15.);
+  check_bool "0-1 at 30" false (present 0 1 30.);
+  check_bool "2-3 at 50" true (present 2 3 50.)
 
 let test_csv_roundtrip () =
   let t = sample_trace () in
@@ -112,6 +115,28 @@ let test_csv_comments_and_blanks () =
   match Trace.of_csv body with
   | Error e -> Alcotest.fail e
   | Ok t -> check_int "one contact" 1 (Trace.num_contacts t)
+
+(* A line opening with the header marker is a header or an error that
+   names the line, never a comment: as a comment, the declared node
+   count and span would give way to ones derived from the contacts. *)
+let test_csv_malformed_header () =
+  List.iter
+    (fun (body, line) ->
+      match Trace.of_csv body with
+      | Ok _ -> Alcotest.fail ("accepted " ^ String.escaped body)
+      | Error e -> check_bool e true (String.starts_with ~prefix:line e))
+    [
+      ("# tmedb-trace n=3 span=nan,10\n0,1,0,5,10\n", "line 1:");
+      ("# tmedb-trace n=3 span=0,inf\n0,1,0,5,10\n", "line 1:");
+      ("# tmedb-trace n=3 span=0,1e400\n0,1,0,5,10\n", "line 1:");
+      ("# a comment\n# tmedb-trace n=x span=0,10\n0,1,0,5,10\n", "line 2:");
+      ("# tmedb-trace\n0,1,0,5,10\n", "line 1:");
+    ];
+  match Trace.of_csv "# tmedb-trace n=3 span=0,10\n0,1,0,5,10\n" with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+      check_int "declared n" 3 (Trace.n t);
+      check_bool "declared span" true (Interval.equal (iv 0. 10.) (Trace.span t))
 
 let test_save_load () =
   let t = sample_trace () in
@@ -216,9 +241,9 @@ let test_synth_ramp_raises_late_degree () =
   let profile = Synth.ramp_profile ~t0:5000. ~t1:8000. ~low:0.2 in
   let p = { Synth.default_params with Synth.density_profile = Some profile } in
   let t = Synth.generate (Rng.create 4) p in
-  let g = Trace.to_tvg t in
-  let early = Tmedb_tvg.Tvg.average_degree_over g ~window:(iv 0. 5000.) in
-  let late = Tmedb_tvg.Tvg.average_degree_over g ~window:(iv 9000. 14000.) in
+  let g = Tveg.of_trace ~tau:0. t in
+  let early = Tveg.average_degree_over g ~window:(iv 0. 5000.) in
+  let late = Tveg.average_degree_over g ~window:(iv 9000. 14000.) in
   check_bool "degree ramps up" true (late > 1.5 *. early)
 
 let test_synth_validation () =
@@ -292,7 +317,7 @@ let () =
           tc "sorted" test_trace_sorted;
           tc "validation" test_trace_validation;
           tc "restrict" test_trace_restrict;
-          tc "to_tvg" test_trace_to_tvg;
+          tc "to_tvg" test_trace_presence;
           tc "stats" test_trace_stats;
           tc "stats order-invariant" test_trace_stats_order_invariant;
         ] );
@@ -303,6 +328,7 @@ let () =
           tc "bad line" test_csv_bad_line;
           tc "infinite distance" test_csv_infinite_distance;
           tc "comments/blanks" test_csv_comments_and_blanks;
+          tc "malformed header" test_csv_malformed_header;
           tc "save/load" test_save_load;
           QCheck_alcotest.to_alcotest prop_synth_csv_roundtrip;
         ] );

@@ -1,239 +1,121 @@
-(* Tests for tmedb_tvg: partitions (Def. 5.1), time-varying graphs,
-   journeys (Def. 3.1) and temporal reachability. *)
+(* Tests for the temporal-graph queries of the sparse TVEG store:
+   adjacent partitions (Def. 5.1, Eq. 9), presence, ρ_τ, degrees,
+   earliest arrivals and temporal reachability. *)
 
 open Tmedb_prelude
-open Tmedb_tvg
+open Tmedb_tveg
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_floats = Alcotest.(check (array (float 1e-9)))
 let iv lo hi = Interval.make ~lo ~hi
 let span10 = iv 0. 10.
+let graph ?(n = 4) ?(tau = 0.) pairs =
+  Tveg.create ~n ~span:span10 ~tau
+    (List.map (fun (i, j, lo, hi) -> (i, j, { Tveg.iv = iv lo hi; dist = 1. })) pairs)
 
 (* ------------------------------------------------------------------ *)
-(* Partition *)
+(* Partition points *)
 
 let test_partition_make () =
-  let p = Partition.make ~span:span10 [ 3.; 7.; 3.; 12.; -1. ] in
-  check_floats "points" [| 0.; 3.; 7.; 10. |] (Partition.points p);
-  check_int "cardinal" 3 (Partition.cardinal p)
+  (* Node 0's contact endpoints repeat 3 and 7; the span endpoints
+     join them. *)
+  let g = graph [ (0, 1, 3., 7.); (0, 2, 3., 7.); (0, 1, 7., 10.) ] in
+  let p = Tveg.adjacent_partition g 0 in
+  check_floats "points" [| 0.; 3.; 7.; 10. |] p;
+  check_int "intervals" 3 (Array.length p - 1)
 
 let test_partition_trivial () =
-  let p = Partition.trivial ~span:span10 in
-  check_floats "two points" [| 0.; 10. |] (Partition.points p);
-  check_int "one interval" 1 (Partition.cardinal p)
-
-let test_partition_intervals () =
-  let p = Partition.make ~span:span10 [ 4. ] in
-  Alcotest.(check int) "two intervals" 2 (List.length (Partition.intervals p));
-  match Partition.intervals p with
-  | [ a; b ] ->
-      check_bool "first" true (Interval.equal a (iv 0. 4.));
-      check_bool "second" true (Interval.equal b (iv 4. 10.))
-  | _ -> Alcotest.fail "expected two intervals"
-
-let test_partition_interval_containing () =
-  let p = Partition.make ~span:span10 [ 2.; 5. ] in
-  (match Partition.interval_containing p 3. with
-  | Some i -> check_bool "middle" true (Interval.equal i (iv 2. 5.))
-  | None -> Alcotest.fail "expected interval");
-  (match Partition.interval_containing p 0. with
-  | Some i -> check_bool "start" true (Interval.equal i (iv 0. 2.))
-  | None -> Alcotest.fail "expected interval");
-  check_bool "endpoint outside" true (Partition.interval_containing p 10. = None);
-  check_bool "before span" true (Partition.interval_containing p (-1.) = None)
-
-let test_partition_start_of_interval () =
-  let p = Partition.make ~span:span10 [ 2.; 5. ] in
-  Alcotest.(check (option (float 0.))) "et-point" (Some 2.) (Partition.start_of_interval p 4.9);
-  Alcotest.(check (option (float 0.))) "exact point" (Some 5.) (Partition.start_of_interval p 5.)
-
-let test_partition_combine () =
-  let a = Partition.make ~span:span10 [ 2. ] in
-  let b = Partition.make ~span:span10 [ 5.; 2. ] in
-  let c = Partition.combine a b in
-  check_floats "combined" [| 0.; 2.; 5.; 10. |] (Partition.points c);
-  check_bool "refines a" true (Partition.refines c a);
-  check_bool "refines b" true (Partition.refines c b);
-  check_bool "a does not refine c" false (Partition.refines a c)
-
-let test_partition_combine_mismatch () =
-  let a = Partition.trivial ~span:span10 in
-  let b = Partition.trivial ~span:(iv 0. 5.) in
-  Alcotest.check_raises "span mismatch" (Invalid_argument "Partition.combine: span mismatch")
-    (fun () -> ignore (Partition.combine a b))
-
-let test_partition_combine_all_idempotent () =
-  let a = Partition.make ~span:span10 [ 1.; 2.; 3. ] in
-  let c = Partition.combine_all ~span:span10 [ a; a; a ] in
-  check_bool "idempotent" true (Partition.equal a c)
+  let g = graph [ (0, 1, 3., 7.) ] in
+  let p = Tveg.adjacent_partition g 3 in
+  check_floats "two points" [| 0.; 10. |] p;
+  check_int "one interval" 1 (Array.length p - 1)
 
 (* ------------------------------------------------------------------ *)
-(* Tvg *)
+(* Presence, ρ_τ and degrees *)
 
 (* 0 -- 1 on [0,4) and [6,8);  1 -- 2 on [3,7);  isolated node 3. *)
-let sample_tvg () =
-  Tvg.of_presences ~n:4 ~span:span10
-    [ (0, 1, iv 0. 4.); (0, 1, iv 6. 8.); (1, 2, iv 3. 7.) ]
+let sample ?tau () = graph ?tau [ (0, 1, 0., 4.); (0, 1, 6., 8.); (1, 2, 3., 7.) ]
 
 let test_tvg_presence () =
-  let g = sample_tvg () in
-  check_bool "0-1 at 2" true (Tvg.present g 0 1 2.);
-  check_bool "0-1 at 5" false (Tvg.present g 0 1 5.);
-  check_bool "symmetric" true (Tvg.present g 1 0 2.);
-  check_bool "1-2 at 3" true (Tvg.present g 1 2 3.);
-  check_bool "0-2 never" false (Tvg.present g 0 2 3.)
+  let g = sample () in
+  let present i j t = Interval_set.mem (Tveg.presence g i j) t in
+  check_bool "0-1 at 2" true (present 0 1 2.);
+  check_bool "0-1 at 5" false (present 0 1 5.);
+  check_bool "symmetric" true (present 1 0 2.);
+  check_bool "1-2 at 3" true (present 1 2 3.);
+  check_bool "0-2 never" false (present 0 2 3.)
 
 let test_tvg_rho_tau () =
-  let g = sample_tvg () in
-  check_bool "tau 0 inside" true (Tvg.rho_tau g ~tau:0. 0 1 3.9);
-  check_bool "tau 1 fits" true (Tvg.rho_tau g ~tau:1. 0 1 2.9);
-  check_bool "tau 1 overruns" false (Tvg.rho_tau g ~tau:1. 0 1 3.5);
-  check_bool "tau spans gap" false (Tvg.rho_tau g ~tau:3. 0 1 3.)
+  check_bool "tau 0 inside" true (Tveg.rho_tau (sample ()) 0 1 3.9);
+  check_bool "tau 1 fits" true (Tveg.rho_tau (sample ~tau:1. ()) 0 1 2.9);
+  check_bool "tau 1 overruns" false (Tveg.rho_tau (sample ~tau:1. ()) 0 1 3.5);
+  check_bool "tau spans gap" false (Tveg.rho_tau (sample ~tau:3. ()) 0 1 3.)
 
 let test_tvg_neighbors_degree () =
-  let g = sample_tvg () in
-  Alcotest.(check (list int)) "n(1) at 3.5" [ 0; 2 ] (Tvg.neighbors_at g ~tau:0. 1 3.5);
-  Alcotest.(check (list int)) "n(1) at 5" [ 2 ] (Tvg.neighbors_at g ~tau:0. 1 5.);
-  check_int "deg(3)" 0 (Tvg.degree_at g ~tau:0. 3 5.);
-  Alcotest.(check (list (pair int int))) "edges" [ (0, 1); (1, 2) ] (Tvg.edge_pairs g)
-
-let test_tvg_pair_partition () =
-  let g = sample_tvg () in
-  let p = Tvg.pair_partition g 0 1 in
-  check_floats "boundaries" [| 0.; 4.; 6.; 8.; 10. |] (Partition.points p)
+  let g = sample () in
+  let ids i t = List.map fst (Tveg.neighbors_at g i t) in
+  Alcotest.(check (list int)) "n(1) at 3.5" [ 0; 2 ] (ids 1 3.5);
+  Alcotest.(check (list int)) "n(1) at 5" [ 2 ] (ids 1 5.);
+  check_int "deg(3)" 0 (List.length (ids 3 5.));
+  let edges =
+    List.concat_map
+      (fun i ->
+        Array.to_list (Tveg.neighbor_ids g i)
+        |> List.filter_map (fun j -> if j > i then Some (i, j) else None))
+      [ 0; 1; 2; 3 ]
+  in
+  Alcotest.(check (list (pair int int))) "edges" [ (0, 1); (1, 2) ] edges
 
 let test_tvg_adjacent_partition () =
-  let g = sample_tvg () in
-  let p = Tvg.adjacent_partition g 1 in
+  let g = sample () in
   (* Union of 0-1 and 1-2 boundaries. *)
-  check_floats "P^ad_1" [| 0.; 3.; 4.; 6.; 7.; 8.; 10. |] (Partition.points p);
-  let p3 = Tvg.adjacent_partition g 3 in
-  check_floats "isolated trivial" [| 0.; 10. |] (Partition.points p3)
+  check_floats "P^ad_1" [| 0.; 3.; 4.; 6.; 7.; 8.; 10. |] (Tveg.adjacent_partition g 1);
+  check_floats "isolated trivial" [| 0.; 10. |] (Tveg.adjacent_partition g 3)
 
 let test_tvg_average_degree () =
-  let g = sample_tvg () in
+  let g = sample () in
   (* Total presence length = 4 + 2 + 4 = 10; degree integral = 2*10;
      nodes = 4; window length 10 -> 0.5. *)
-  Alcotest.(check (float 1e-9)) "avg degree" 0.5 (Tvg.average_degree_over g ~window:span10)
+  Alcotest.(check (float 1e-9)) "avg degree" 0.5 (Tveg.average_degree_over g ~window:span10)
 
 let test_tvg_restrict () =
-  let g = sample_tvg () in
-  let r = Tvg.restrict g ~span:(iv 3. 7.) in
+  let r = Tveg.restrict (sample ()) ~span:(iv 3. 7.) in
   check_bool "0-1 clipped" true
-    (Interval_set.equal (Tvg.presence r 0 1) (Interval_set.of_list [ iv 3. 4.; iv 6. 7. ]));
+    (Interval_set.equal (Tveg.presence r 0 1) (Interval_set.of_list [ iv 3. 4.; iv 6. 7. ]));
   check_bool "1-2 kept" true
-    (Interval_set.equal (Tvg.presence r 1 2) (Interval_set.single (iv 3. 7.)))
+    (Interval_set.equal (Tveg.presence r 1 2) (Interval_set.single (iv 3. 7.)))
 
 let test_tvg_validation () =
-  Alcotest.check_raises "self loop" (Invalid_argument "Tvg.add_presence: self-loop") (fun () ->
-      ignore (Tvg.add_presence (Tvg.create ~n:3 ~span:span10) 1 1 (iv 0. 1.)));
-  Alcotest.check_raises "out of span"
-    (Invalid_argument "Tvg.add_presence: interval outside the time span") (fun () ->
-      ignore (Tvg.add_presence (Tvg.create ~n:3 ~span:span10) 0 1 (iv 5. 11.)))
+  Alcotest.check_raises "self loop" (Invalid_argument "Tveg.create: self-loop") (fun () ->
+      ignore (graph ~n:3 [ (1, 1, 0., 1.) ]));
+  Alcotest.check_raises "out of span" (Invalid_argument "Tveg.create: link outside the span")
+    (fun () -> ignore (Tveg.create ~n:3 ~span:span10 ~tau:0. [ (0, 1, { Tveg.iv = iv 5. 11.; dist = 1. }) ]))
 
 (* ------------------------------------------------------------------ *)
-(* Journey *)
-
-let test_journey_validity () =
-  let g = sample_tvg () in
-  let j =
-    [ { Journey.from_node = 0; to_node = 1; depart = 1. };
-      { Journey.from_node = 1; to_node = 2; depart = 3.5 } ]
-  in
-  check_bool "valid" true (Journey.is_valid g ~tau:0. j);
-  check_int "length" 2 (Journey.length j);
-  Alcotest.(check (list int)) "nodes" [ 0; 1; 2 ] (Journey.nodes j)
-
-let test_journey_invalid_chain () =
-  let g = sample_tvg () in
-  let j =
-    [ { Journey.from_node = 0; to_node = 1; depart = 1. };
-      { Journey.from_node = 2; to_node = 1; depart = 3.5 } ]
-  in
-  check_bool "broken chain" false (Journey.is_valid g ~tau:0. j)
-
-let test_journey_invalid_presence () =
-  let g = sample_tvg () in
-  let j = [ { Journey.from_node = 0; to_node = 1; depart = 5. } ] in
-  check_bool "edge absent" false (Journey.is_valid g ~tau:0. j)
-
-let test_journey_time_order () =
-  let g = sample_tvg () in
-  (* Departing 1->2 before arriving from 0 violates t_{l+1} >= t_l + tau. *)
-  let j =
-    [ { Journey.from_node = 0; to_node = 1; depart = 3.5 };
-      { Journey.from_node = 1; to_node = 2; depart = 3. } ]
-  in
-  check_bool "time disorder" false (Journey.is_valid g ~tau:0.2 j)
-
-let test_journey_no_repeat () =
-  let g =
-    Tvg.of_presences ~n:3 ~span:span10
-      [ (0, 1, iv 0. 10.); (1, 2, iv 0. 10.); (0, 2, iv 0. 10.) ]
-  in
-  let j =
-    [ { Journey.from_node = 0; to_node = 1; depart = 1. };
-      { Journey.from_node = 1; to_node = 2; depart = 2. };
-      { Journey.from_node = 2; to_node = 0; depart = 3. } ]
-  in
-  check_bool "circle rejected" false (Journey.is_valid g ~tau:0. j)
-
-let test_journey_non_stop () =
-  let j =
-    [ { Journey.from_node = 0; to_node = 1; depart = 1. };
-      { Journey.from_node = 1; to_node = 2; depart = 2. } ]
-  in
-  check_bool "non-stop tau=1" true (Journey.is_non_stop ~tau:1. j);
-  check_bool "not non-stop tau=0.5" false (Journey.is_non_stop ~tau:0.5 j)
-
-let test_journey_departure_arrival () =
-  let j =
-    [ { Journey.from_node = 0; to_node = 1; depart = 1. };
-      { Journey.from_node = 1; to_node = 2; depart = 4. } ]
-  in
-  Alcotest.(check (option (float 0.))) "departure" (Some 1.) (Journey.departure j);
-  Alcotest.(check (option (float 0.))) "arrival" (Some 4.5) (Journey.arrival ~tau:0.5 j);
-  Alcotest.(check (option (float 0.))) "empty departure" None (Journey.departure [])
+(* Earliest arrivals *)
 
 let test_earliest_arrival_waits_for_edge () =
-  let g = sample_tvg () in
   (* From node 2 starting at t=0: edge 1-2 opens at 3. *)
-  let arr = Journey.earliest_arrival g ~tau:0. ~src:2 ~t0:0. in
+  let arr = Tveg.earliest_arrival (sample ()) ~src:2 ~t0:0. in
   Alcotest.(check (float 1e-9)) "reach 1 at 3" 3. arr.(1);
   Alcotest.(check (float 1e-9)) "reach 0 at 3 (chain)" 3. arr.(0);
   check_bool "node 3 unreachable" true (arr.(3) = Float.infinity)
 
 let test_earliest_arrival_tau_delays () =
-  let g = sample_tvg () in
-  let arr = Journey.earliest_arrival g ~tau:1. ~src:2 ~t0:0. in
+  let arr = Tveg.earliest_arrival (sample ~tau:1. ()) ~src:2 ~t0:0. in
   Alcotest.(check (float 1e-9)) "reach 1 at 4" 4. arr.(1);
   (* 0-1 gap [4,6): must wait for the second contact, depart 6 arrive 7. *)
   Alcotest.(check (float 1e-9)) "reach 0 at 7" 7. arr.(0)
 
 let test_earliest_arrival_source () =
-  let g = sample_tvg () in
-  let arr = Journey.earliest_arrival g ~tau:0. ~src:0 ~t0:2. in
+  let arr = Tveg.earliest_arrival (sample ()) ~src:0 ~t0:2. in
   Alcotest.(check (float 1e-9)) "source at t0" 2. arr.(0);
   Alcotest.(check (float 1e-9)) "1 immediately" 2. arr.(1);
   Alcotest.(check (float 1e-9)) "2 waits for 3" 3. arr.(2)
 
-let test_foremost_journey_valid () =
-  let g = sample_tvg () in
-  match Journey.foremost_journey g ~tau:0. ~src:2 ~t0:0. ~dst:0 with
-  | None -> Alcotest.fail "expected a journey"
-  | Some j ->
-      check_bool "journey valid" true (Journey.is_valid g ~tau:0. j);
-      Alcotest.(check (option (float 0.))) "arrives at 3" (Some 3.) (Journey.arrival ~tau:0. j);
-      Alcotest.(check (list int)) "path" [ 2; 1; 0 ] (Journey.nodes j)
-
-let test_foremost_journey_unreachable () =
-  let g = sample_tvg () in
-  check_bool "no journey to isolated node" true
-    (Journey.foremost_journey g ~tau:0. ~src:0 ~t0:0. ~dst:3 = None)
-
-(* Random TVGs for property tests. *)
-let random_tvg seed =
+(* Random graphs for property tests. *)
+let random_graph seed =
   let g = Rng.create seed in
   let n = 2 + Rng.int g 5 in
   let entries = ref [] in
@@ -242,184 +124,62 @@ let random_tvg seed =
       for _ = 0 to Rng.int g 3 do
         let lo = Rng.float g 8. in
         let hi = lo +. 0.2 +. Rng.float g (9.8 -. lo) in
-        entries := (i, j, iv lo (Float.min 10. hi)) :: !entries
+        entries := (i, j, lo, Float.min 10. hi) :: !entries
       done
     done
   done;
-  Tvg.of_presences ~n ~span:span10 !entries
-
-(* Shortest (min-hop) journeys: 0-2 direct opens late, 0-1-2 available
-   early: the shortest prefers the single late hop; the foremost takes
-   two early hops. *)
-let shortcut_tvg () =
-  Tvg.of_presences ~n:3 ~span:span10
-    [ (0, 1, iv 0. 2.); (1, 2, iv 2. 4.); (0, 2, iv 6. 8.) ]
-
-let test_shortest_journey_prefers_fewer_hops () =
-  let g = shortcut_tvg () in
-  (match Journey.shortest_journey g ~tau:0. ~src:0 ~t0:0. ~dst:2 ~deadline:10. with
-  | Some j ->
-      check_int "one hop" 1 (Journey.length j);
-      check_bool "valid" true (Journey.is_valid g ~tau:0. j)
-  | None -> Alcotest.fail "expected a journey");
-  (* The foremost journey arrives at 2 via two hops. *)
-  match Journey.foremost_journey g ~tau:0. ~src:0 ~t0:0. ~dst:2 with
-  | Some j -> check_int "foremost two hops" 2 (Journey.length j)
-  | None -> Alcotest.fail "expected foremost journey"
-
-let test_shortest_journey_respects_deadline () =
-  let g = shortcut_tvg () in
-  (* Deadline 5 rules out the direct hop: must use the two-hop path. *)
-  match Journey.shortest_journey g ~tau:0. ~src:0 ~t0:0. ~dst:2 ~deadline:5. with
-  | Some j -> check_int "two hops under deadline" 2 (Journey.length j)
-  | None -> Alcotest.fail "expected a journey"
-
-let test_shortest_journey_unreachable () =
-  let g = shortcut_tvg () in
-  check_bool "too tight" true
-    (Journey.shortest_journey g ~tau:0. ~src:0 ~t0:0. ~dst:2 ~deadline:1. = None)
-
-let test_min_hop_arrivals_monotone () =
-  let g = shortcut_tvg () in
-  let a = Journey.min_hop_arrivals g ~tau:0. ~src:0 ~t0:0. in
-  for h = 1 to 2 do
-    for j = 0 to 2 do
-      check_bool "more hops never hurt" true (a.(h).(j) <= a.(h - 1).(j))
-    done
-  done;
-  Alcotest.(check (float 1e-9)) "2 hops reach node 2 at 2" 2. a.(2).(2)
-
-(* Fastest journeys: departing immediately means waiting mid-route;
-   departing late rides a direct contact. *)
-let test_fastest_journey_delays_departure () =
-  let g = shortcut_tvg () in
-  match Journey.fastest_journey g ~tau:0. ~src:0 ~t0:0. ~dst:2 with
-  | Some j ->
-      (match Journey.duration ~tau:0. j with
-      | Some d -> Alcotest.(check (float 1e-9)) "instantaneous at t=6" 0. d
-      | None -> Alcotest.fail "expected duration");
-      Alcotest.(check (option (float 1e-9))) "departs at 6" (Some 6.) (Journey.departure j)
-  | None -> Alcotest.fail "expected a journey"
-
-let test_fastest_journey_source () =
-  let g = shortcut_tvg () in
-  Alcotest.(check (option (list (pair (pair int int) (float 0.)))))
-    "src to src is empty" (Some [])
-    (Option.map
-       (List.map (fun h -> ((h.Journey.from_node, h.Journey.to_node), h.Journey.depart)))
-       (Journey.fastest_journey g ~tau:0. ~src:0 ~t0:0. ~dst:0))
-
-let prop_fastest_no_slower_than_foremost =
-  QCheck.Test.make ~name:"fastest duration <= foremost duration" ~count:100 QCheck.small_int
-    (fun seed ->
-      let g = random_tvg seed in
-      let n = Tvg.n g in
-      List.for_all
-        (fun dst ->
-          match Journey.foremost_journey g ~tau:0. ~src:0 ~t0:0. ~dst with
-          | None -> Journey.fastest_journey g ~tau:0. ~src:0 ~t0:0. ~dst = None
-          | Some fj -> (
-              match Journey.fastest_journey g ~tau:0. ~src:0 ~t0:0. ~dst with
-              | None -> false
-              | Some qj -> (
-                  match (Journey.duration ~tau:0. qj, Journey.duration ~tau:0. fj) with
-                  | Some dq, Some df -> dq <= df +. 1e-9 && Journey.is_valid g ~tau:0. qj
-                  | _ -> true)))
-        (List.init (n - 1) (fun k -> k + 1)))
-
-let prop_shortest_no_longer_than_foremost =
-  QCheck.Test.make ~name:"shortest hops <= foremost hops" ~count:100 QCheck.small_int
-    (fun seed ->
-      let g = random_tvg seed in
-      let n = Tvg.n g in
-      List.for_all
-        (fun dst ->
-          match Journey.foremost_journey g ~tau:0. ~src:0 ~t0:0. ~dst with
-          | None -> true
-          | Some fj -> (
-              match Journey.shortest_journey g ~tau:0. ~src:0 ~t0:0. ~dst ~deadline:10. with
-              | None -> false
-              | Some sj ->
-                  Journey.length sj <= Journey.length fj && Journey.is_valid g ~tau:0. sj))
-        (List.init (n - 1) (fun k -> k + 1)))
-
-(* ------------------------------------------------------------------ *)
-(* Reachability *)
-
-let test_reachable_set () =
-  let g = sample_tvg () in
-  let s = Reachability.reachable_set g ~tau:0. ~src:0 ~t0:0. ~deadline:10. in
-  Alcotest.(check (list int)) "component" [ 0; 1; 2 ] (Bitset.to_list s);
-  check_bool "not broadcastable" false
-    (Reachability.is_broadcastable g ~tau:0. ~src:0 ~t0:0. ~deadline:10.)
-
-let test_reachable_deadline_cuts () =
-  let g = sample_tvg () in
-  let s = Reachability.reachable_set g ~tau:0. ~src:0 ~t0:0. ~deadline:2. in
-  Alcotest.(check (list int)) "only 0,1 by t=2" [ 0; 1 ] (Bitset.to_list s)
-
-let test_reachability_matrix () =
-  let g = sample_tvg () in
-  let m = Reachability.reachability_matrix g ~tau:0. ~t0:0. ~deadline:10. in
-  check_bool "0 reaches 2" true m.(0).(2);
-  check_bool "2 reaches 0" true m.(2).(0);
-  check_bool "3 reaches only itself" true (m.(3).(3) && not m.(3).(0))
-
-let test_completion_time () =
-  let g = Tvg.of_presences ~n:3 ~span:span10 [ (0, 1, iv 1. 2.); (1, 2, iv 5. 6.) ] in
-  Alcotest.(check (float 1e-9)) "completion" 5.
-    (Reachability.broadcast_completion_time g ~tau:0. ~src:0 ~t0:0.);
-  check_bool "infinite with isolated node" true
-    (Reachability.broadcast_completion_time (sample_tvg ()) ~tau:0. ~src:0 ~t0:0.
-    = Float.infinity)
+  graph ~n !entries
 
 let prop_earliest_arrival_sound =
   QCheck.Test.make ~name:"earliest arrival >= t0, source = t0" ~count:100 QCheck.small_int
     (fun seed ->
-      let g = random_tvg seed in
-      let arr = Journey.earliest_arrival g ~tau:0. ~src:0 ~t0:1. in
+      let arr = Tveg.earliest_arrival (random_graph seed) ~src:0 ~t0:1. in
       arr.(0) = 1. && Array.for_all (fun a -> a >= 1.) arr)
 
-let prop_foremost_journey_is_valid =
-  QCheck.Test.make ~name:"foremost journeys validate" ~count:100 QCheck.small_int (fun seed ->
-      let g = random_tvg seed in
-      let n = Tvg.n g in
-      List.for_all
-        (fun dst ->
-          match Journey.foremost_journey g ~tau:0. ~src:0 ~t0:0. ~dst with
-          | None -> true
-          | Some j -> Journey.is_valid g ~tau:0. j)
-        (List.init (n - 1) (fun k -> k + 1)))
+(* ------------------------------------------------------------------ *)
+(* Reachability *)
+
+let reachable g ~deadline =
+  let arr = Tveg.earliest_arrival g ~src:0 ~t0:0. in
+  List.filter (fun i -> arr.(i) <= deadline) (List.init (Tveg.n g) Fun.id)
+
+let problem g ~deadline =
+  Tmedb.Problem.make ~graph:g ~phy:Tmedb_channel.Phy.default ~channel:`Static ~source:0 ~deadline
+    ()
+
+let test_reachable_set () =
+  let g = sample () in
+  Alcotest.(check (list int)) "component" [ 0; 1; 2 ] (reachable g ~deadline:10.);
+  check_bool "not broadcastable" false (Tmedb.Problem.is_reachable (problem g ~deadline:10.))
+
+let test_reachable_deadline_cuts () =
+  Alcotest.(check (list int)) "only 0,1 by t=2" [ 0; 1 ] (reachable (sample ()) ~deadline:2.)
+
+let test_completion_time () =
+  let g = graph ~n:3 [ (0, 1, 1., 2.); (1, 2, 5., 6.) ] in
+  Alcotest.(check (float 1e-9)) "completion" 5.
+    (Tmedb.Problem.completion_lower_bound (problem g ~deadline:10.));
+  check_bool "infinite with isolated node" true
+    (Tmedb.Problem.completion_lower_bound (problem (sample ()) ~deadline:10.) = Float.infinity)
 
 let prop_reachability_monotone_deadline =
   QCheck.Test.make ~name:"reachable set grows with deadline" ~count:100 QCheck.small_int
     (fun seed ->
-      let g = random_tvg seed in
-      let early = Reachability.reachable_set g ~tau:0. ~src:0 ~t0:0. ~deadline:3. in
-      let late = Reachability.reachable_set g ~tau:0. ~src:0 ~t0:0. ~deadline:9. in
-      Bitset.subset early late)
+      let g = random_graph seed in
+      let late = reachable g ~deadline:9. in
+      List.for_all (fun i -> List.mem i late) (reachable g ~deadline:3.))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "tvg"
     [
       ( "partition",
-        [
-          tc "make" test_partition_make;
-          tc "trivial" test_partition_trivial;
-          tc "intervals" test_partition_intervals;
-          tc "interval containing" test_partition_interval_containing;
-          tc "start of interval" test_partition_start_of_interval;
-          tc "combine" test_partition_combine;
-          tc "combine mismatch" test_partition_combine_mismatch;
-          tc "combine_all idempotent" test_partition_combine_all_idempotent;
-        ] );
+        [ tc "make" test_partition_make; tc "trivial" test_partition_trivial ] );
       ( "tvg",
         [
           tc "presence" test_tvg_presence;
           tc "rho_tau" test_tvg_rho_tau;
           tc "neighbors/degree" test_tvg_neighbors_degree;
-          tc "pair partition" test_tvg_pair_partition;
           tc "adjacent partition" test_tvg_adjacent_partition;
           tc "average degree" test_tvg_average_degree;
           tc "restrict" test_tvg_restrict;
@@ -427,34 +187,15 @@ let () =
         ] );
       ( "journey",
         [
-          tc "validity" test_journey_validity;
-          tc "invalid chain" test_journey_invalid_chain;
-          tc "invalid presence" test_journey_invalid_presence;
-          tc "time order" test_journey_time_order;
-          tc "no repeat" test_journey_no_repeat;
-          tc "non-stop" test_journey_non_stop;
-          tc "departure/arrival" test_journey_departure_arrival;
           tc "earliest waits for edge" test_earliest_arrival_waits_for_edge;
           tc "earliest tau delays" test_earliest_arrival_tau_delays;
           tc "earliest from source" test_earliest_arrival_source;
-          tc "foremost valid" test_foremost_journey_valid;
-          tc "foremost unreachable" test_foremost_journey_unreachable;
-          tc "shortest prefers fewer hops" test_shortest_journey_prefers_fewer_hops;
-          tc "shortest respects deadline" test_shortest_journey_respects_deadline;
-          tc "shortest unreachable" test_shortest_journey_unreachable;
-          tc "min-hop arrivals monotone" test_min_hop_arrivals_monotone;
-          tc "fastest delays departure" test_fastest_journey_delays_departure;
-          tc "fastest from source" test_fastest_journey_source;
           QCheck_alcotest.to_alcotest prop_earliest_arrival_sound;
-          QCheck_alcotest.to_alcotest prop_foremost_journey_is_valid;
-          QCheck_alcotest.to_alcotest prop_fastest_no_slower_than_foremost;
-          QCheck_alcotest.to_alcotest prop_shortest_no_longer_than_foremost;
         ] );
       ( "reachability",
         [
           tc "reachable set" test_reachable_set;
           tc "deadline cuts" test_reachable_deadline_cuts;
-          tc "matrix" test_reachability_matrix;
           tc "completion time" test_completion_time;
           QCheck_alcotest.to_alcotest prop_reachability_monotone_deadline;
         ] );
