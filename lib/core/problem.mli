@@ -53,10 +53,12 @@ val completion_lower_bound : t -> float
     (foremost-journey bound); [infinity] when unreachable. *)
 
 val clip : t -> t
-(** The same instance on its graph restricted to [\[span.lo,
-    deadline\]]: contacts after the deadline can never matter, so the
-    DTS closure and the DCS queries walk shorter link lists.  EEDCB,
-    SPT and {!Solve_state} plan on the clipped instance. *)
+(** The same instance on its graph restricted to the half-open
+    [\[span.lo, deadline)]: contacts after the deadline can never
+    matter, so the DTS closure and the DCS queries walk shorter link
+    lists.  EEDCB, SPT and {!Solve_state} plan on the clipped
+    instance, so a run ending at the deadline carries only
+    transmissions that arrive strictly before it. *)
 
 val dts : ?cap_per_node:int -> t -> Dts.t
 (** The instance's discrete time set, clipped to the deadline and

@@ -62,16 +62,6 @@ let plan_tree problem dists =
   done;
   (power, parent)
 
-(* Earliest instant >= [after] at which the pair is ρ_τ-adjacent. *)
-let earliest_contact g ~after i j =
-  let tau = Tveg.tau g in
-  List.fold_left
-    (fun acc l ->
-      let lo = l.Tveg.iv.Interval.lo and hi = l.Tveg.iv.Interval.hi in
-      let t = Float.max after lo in
-      if t +. tau < hi then Some (match acc with None -> t | Some a -> Float.min a t) else acc)
-    None (Tveg.links g i j)
-
 let plan (_ctx : Planner.Ctx.t) (problem : Problem.t) =
   let g = problem.Problem.graph in
   let phy = problem.Problem.phy in
@@ -97,16 +87,15 @@ let plan (_ctx : Planner.Ctx.t) (problem : Problem.t) =
   let txs = ref [] in
   let queue = Pqueue.create () in
   let schedule_parent i =
-    if (not fired.(i)) && children.(i) <> [] then begin
-      let pending = List.filter (fun c -> not (Float.is_finite informed_at.(c))) children.(i) in
-      let ready =
-        List.filter_map (fun c -> earliest_contact g ~after:informed_at.(i) i c) pending
+    if not fired.(i) then begin
+      let t =
+        List.fold_left
+          (fun acc c ->
+            if Float.is_finite informed_at.(c) then acc
+            else Float.min acc (Tveg.earliest_departure g i c ~after:informed_at.(i)))
+          Float.infinity children.(i)
       in
-      match ready with
-      | [] -> ()
-      | times ->
-          let t = List.fold_left Float.min (List.hd times) times in
-          if t +. tau <= problem.Problem.deadline then Pqueue.push queue t i
+      if t +. tau <= problem.Problem.deadline then Pqueue.push queue t i
     end
   in
   schedule_parent problem.Problem.source;

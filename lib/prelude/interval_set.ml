@@ -2,13 +2,9 @@
    non-empty intervals.  Uniqueness of the form is what makes [equal]
    structural and what lets point queries binary-search: for any
    instant there is at most one candidate member (the rightmost whose
-   [lo] is <= the instant).  All set algebra is a linear merge of two
-   sorted arrays; all point queries are O(log n). *)
+   [lo] is <= the instant).  [inter] is a linear merge of two sorted
+   arrays; [mem] is O(log n). *)
 type t = Interval.t array
-
-let empty = [||]
-let is_empty s = Array.length s = 0
-let single iv = [| iv |]
 
 let arr_of_rev_list rev =
   let n = List.length rev in
@@ -34,14 +30,15 @@ let of_list ivs =
         if Interval.touches current iv then merge acc (Interval.hull current iv) tl
         else merge (current :: acc) iv tl
   in
-  match sorted with [] -> empty | hd :: tl -> merge [] hd tl
+  match sorted with [] -> [||] | hd :: tl -> merge [] hd tl
 
 let intervals s = Array.to_list s
 
-(* Rightmost member with [lo <= x], the only possible cover of [x]. *)
-let locate s x =
+(* The rightmost member with [lo <= x] is the only possible cover of
+   [x]. *)
+let mem s x =
   let n = Array.length s in
-  if n = 0 || x < s.(0).Interval.lo then -1
+  if n = 0 || x < s.(0).Interval.lo then false
   else begin
     (* Invariant: s.(lo).lo <= x, s.(hi).lo > x (hi may be n). *)
     let lo = ref 0 and hi = ref n in
@@ -49,52 +46,8 @@ let locate s x =
       let mid = (!lo + !hi) / 2 in
       if s.(mid).Interval.lo <= x then lo := mid else hi := mid
     done;
-    !lo
+    x < s.(!lo).Interval.hi
   end
-
-let covering s x =
-  let i = locate s x in
-  if i >= 0 && x < s.(i).Interval.hi then Some s.(i) else None
-
-let mem s x = Option.is_some (covering s x)
-
-let contains_interval s iv =
-  match covering s iv.Interval.lo with
-  | Some member -> Interval.contains member iv
-  | None -> false
-
-(* Linear merge of two canonical arrays, hulling touching runs. *)
-let union a b =
-  if is_empty a then b
-  else if is_empty b then a
-  else begin
-    let na = Array.length a and nb = Array.length b in
-    let acc = ref [] and i = ref 0 and j = ref 0 in
-    let next () =
-      if !i < na && (!j >= nb || Interval.compare a.(!i) b.(!j) <= 0) then begin
-        let iv = a.(!i) in
-        incr i;
-        iv
-      end
-      else begin
-        let iv = b.(!j) in
-        incr j;
-        iv
-      end
-    in
-    let current = ref (next ()) in
-    while !i < na || !j < nb do
-      let iv = next () in
-      if Interval.touches !current iv then current := Interval.hull !current iv
-      else begin
-        acc := !current :: !acc;
-        current := iv
-      end
-    done;
-    arr_of_rev_list (!current :: !acc)
-  end
-
-let add s iv = union s (single iv)
 
 (* Sweep both arrays; every overlap is emitted.  Pieces inherit the
    gaps of their parents, so the output is canonical as built. *)
@@ -115,42 +68,9 @@ let inter a b =
   done;
   arr_of_rev_list !acc
 
-(* Gaps of the clipped set inside [span]; gaps of a canonical set are
-   separated by non-empty members, so the result is canonical. *)
-let complement s ~span =
-  let clipped = inter s [| span |] in
-  let acc = ref [] and cursor = ref span.Interval.lo in
-  Array.iter
-    (fun iv ->
-      (match Interval.make_opt ~lo:!cursor ~hi:iv.Interval.lo with
-      | Some gap -> acc := gap :: !acc
-      | None -> ());
-      cursor := iv.Interval.hi)
-    clipped;
-  (match Interval.make_opt ~lo:!cursor ~hi:span.Interval.hi with
-  | Some gap -> acc := gap :: !acc
-  | None -> ());
-  arr_of_rev_list !acc
-
-let diff a b =
-  if is_empty a then empty
-  else begin
-    let span = Interval.hull a.(0) a.(Array.length a - 1) in
-    inter a (complement b ~span)
-  end
-
 let total_length s = Array.fold_left (fun acc iv -> acc +. Interval.length iv) 0. s
 let cardinal = Array.length
-
-(* Canonical ⇒ lo0 < hi0 < lo1 < hi1 < …, so emitting endpoints in
-   order is already sorted with each endpoint once. *)
-let boundaries s =
-  Array.fold_left (fun acc iv -> iv.Interval.hi :: iv.Interval.lo :: acc) [] s
-  |> List.rev
-
-let fold f s init = Array.fold_left (fun acc iv -> f iv acc) init s
 let iter f s = Array.iter f s
-let subset a b = is_empty (diff a b)
 
 let equal a b =
   Array.length a = Array.length b

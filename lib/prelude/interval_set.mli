@@ -1,27 +1,14 @@
 (** Finite unions of disjoint half-open intervals, kept sorted and
-    normalised (no empty members, no touching neighbours).
-
-    This is the representation of the paper's deterministic presence
-    function restricted to one edge: the set of times at which the edge
-    exists.  Complement/intersection/union implement the partition
-    algebra of Section V.
+    normalised (no empty members, no touching neighbours): the set of
+    times at which something is present, such as a pair's contacts in
+    [Trace.stats] or a duty-cycled radio's awake windows.
 
     The canonical form is a sorted array of non-touching members, so it
-    is unique for a given set of instants: point queries ([mem],
-    [covering], [contains_interval]) binary-search in O(log n), the set
-    algebra ([union], [inter], [diff], [complement]) is a linear merge
-    in O(m + n), and [equal] is structural.  n below is {!cardinal}. *)
+    is unique for a given set of instants: [mem] binary-searches in
+    O(log n), [inter] is a linear merge in O(m + n), and [equal] is
+    structural.  n below is {!cardinal}. *)
 
 type t
-
-val empty : t
-(** The set with no instants.  O(1). *)
-
-val is_empty : t -> bool
-(** Whether the set has no instants.  O(1). *)
-
-val single : Interval.t -> t
-(** The set of one interval.  O(1). *)
 
 val of_list : Interval.t list -> t
 (** Normalises arbitrary (possibly overlapping, unsorted) intervals.
@@ -30,21 +17,8 @@ val of_list : Interval.t list -> t
 val intervals : t -> Interval.t list
 (** Sorted disjoint members.  O(n). *)
 
-val add : t -> Interval.t -> t
-(** The set extended by one interval (merging any members it touches).
-    O(n). *)
-
-val union : t -> t -> t
-(** Instants in either set.  Linear merge, O(m + n). *)
-
 val inter : t -> t -> t
 (** Instants in both sets.  Linear sweep, O(m + n). *)
-
-val diff : t -> t -> t
-(** Instants of the first set not in the second.  O(m + n). *)
-
-val complement : t -> span:Interval.t -> t
-(** Times inside [span] not covered by the set.  O(n). *)
 
 val mem : t -> float -> bool
 (** Whether an instant is covered.  Binary search, O(log n). *)
@@ -55,29 +29,11 @@ val total_length : t -> float
 val cardinal : t -> int
 (** Number of disjoint intervals.  O(1). *)
 
-val covering : t -> float -> Interval.t option
-(** The member interval containing the given instant, if any — unique
-    because members are disjoint.  Binary search, O(log n). *)
-
-val boundaries : t -> float list
-(** Sorted endpoints of all member intervals (each endpoint once; the
-    canonical form makes every endpoint distinct).  O(n). *)
-
-val fold : (Interval.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over members in ascending order.  O(n). *)
-
 val iter : (Interval.t -> unit) -> t -> unit
 (** Iterate over members in ascending order.  O(n). *)
 
-val subset : t -> t -> bool
-(** [subset a b]: every instant of [a] lies in [b].  O(m + n). *)
-
 val equal : t -> t -> bool
 (** Same instants (canonical form makes this structural).  O(n). *)
-
-val contains_interval : t -> Interval.t -> bool
-(** Whole interval covered by a single member (hence by the set).
-    Binary search, O(log n). *)
 
 val pp : Format.formatter -> t -> unit
 (** [{[lo,hi) [lo,hi) …}], members in ascending order.  O(n). *)

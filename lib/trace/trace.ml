@@ -39,15 +39,20 @@ let to_csv t =
     t.contacts;
   Buffer.contents buf
 
-(* A line that opens with [# tmedb-trace] must parse as a header; read
-   as a comment, it would let the contacts' extent replace the declared
-   node count and span. *)
+(* A line that opens with [# tmedb-trace] must parse as a whole
+   header; read as a comment, it would let the contacts' extent replace
+   the declared node count and span. *)
 let parse_header lineno line =
   let fail msg = Error (Printf.sprintf "line %d: malformed trace header: %s" lineno msg) in
-  match Scanf.sscanf line "# tmedb-trace n=%d span=%f,%f" (fun n lo hi -> (n, lo, hi)) with
-  | _, lo, hi when not (Float.is_finite lo && Float.is_finite hi && lo < hi) ->
+  match
+    Scanf.sscanf line "# tmedb-trace n=%d span=%f,%f%n" (fun n lo hi used -> (n, lo, hi, used))
+  with
+  | _, _, _, used when used < String.length line ->
+      fail (Printf.sprintf "trailing text %S" (String.sub line used (String.length line - used)))
+  | n, _, _, _ when n <= 0 -> fail "n must be positive"
+  | _, lo, hi, _ when not (Float.is_finite lo && Float.is_finite hi && lo < hi) ->
       fail "span must be finite with lo < hi"
-  | h -> Ok h
+  | n, lo, hi, _ -> Ok (lineno, n, Interval.make ~lo ~hi)
   | exception (Scanf.Scan_failure msg | Failure msg) -> fail msg
   | exception End_of_file -> fail "truncated"
 
@@ -60,6 +65,19 @@ let parse_line lineno line =
       Error (Printf.sprintf "line %d: %s" lineno msg)
   | End_of_file -> Error (Printf.sprintf "line %d: truncated record" lineno)
 
+(* The first contact, in file order, that the header does not admit. *)
+let check_declared ~n ~span contacts =
+  List.find_map
+    (fun (lineno, c) ->
+      if c.Contact.b >= n then
+        Some (Printf.sprintf "line %d: contact node %d out of range for n=%d" lineno c.Contact.b n)
+      else if not (Interval.contains span c.Contact.iv) then
+        Some
+          (Printf.sprintf "line %d: contact %s outside the declared span %s" lineno
+             (Interval.to_string c.Contact.iv) (Interval.to_string span))
+      else None)
+    contacts
+
 let of_csv text =
   let lines = String.split_on_char '\n' text in
   let rec go lineno header acc = function
@@ -68,36 +86,38 @@ let of_csv text =
         let line = String.trim line in
         if line = "" then go (lineno + 1) header acc rest
         else if String.starts_with ~prefix:"# tmedb-trace" line then begin
-          match parse_header lineno line with
-          | Ok h -> go (lineno + 1) (Some h) acc rest
-          | Error e -> Error e
+          match header with
+          | Some (first, _, _) ->
+              Error
+                (Printf.sprintf "line %d: repeated trace header (first on line %d)" lineno first)
+          | None -> (
+              match parse_header lineno line with
+              | Ok h -> go (lineno + 1) (Some h) acc rest
+              | Error e -> Error e)
         end
         else if line.[0] = '#' then go (lineno + 1) header acc rest
         else begin
           match parse_line lineno line with
-          | Ok c -> go (lineno + 1) header (c :: acc) rest
+          | Ok c -> go (lineno + 1) header ((lineno, c) :: acc) rest
           | Error e -> Error e
         end
   in
   match go 1 None [] lines with
   | Error e -> Error e
-  | Ok (header, contacts) -> (
-      let derived_n =
-        List.fold_left (fun acc c -> Stdlib.max acc (c.Contact.b + 1)) 1 contacts
-      in
-      let derived_span =
+  | Ok (Some (_, n, span), numbered) -> (
+      match check_declared ~n ~span numbered with
+      | Some e -> Error e
+      | None -> Ok (make ~n ~span (List.map snd numbered)))
+  | Ok (None, numbered) ->
+      let contacts = List.map snd numbered in
+      let n = List.fold_left (fun acc c -> Stdlib.max acc (c.Contact.b + 1)) 1 contacts in
+      let span =
         match contacts with
         | [] -> Interval.make ~lo:0. ~hi:1.
         | first :: rest ->
             List.fold_left (fun acc c -> Interval.hull acc c.Contact.iv) first.Contact.iv rest
       in
-      match header with
-      | Some (hn, lo, hi) -> (
-          try Ok (make ~n:hn ~span:(Interval.make ~lo ~hi) contacts)
-          with Invalid_argument msg -> Error msg)
-      | None -> (
-          try Ok (make ~n:derived_n ~span:derived_span contacts)
-          with Invalid_argument msg -> Error msg))
+      Ok (make ~n ~span contacts)
 
 let save t ~path =
   let oc = open_out path in

@@ -30,6 +30,17 @@ val restrict : t -> span:Interval.t -> t
 
 val to_csv : t -> string
 val of_csv : string -> (t, string) result
+(** Parse the format above.  Lines are trimmed and blank ones skipped.
+    A data line [a,b,t_start,t_end,dist] needs two distinct
+    non-negative node ids, finite [t_start < t_end] and a positive
+    finite distance.  At most one header may appear, anywhere, with
+    nothing after [HI]; it needs [N > 0] and finite [LO < HI], and
+    then every contact must have both nodes below [N] and lie inside
+    [\[LO, HI)].  Without a header, n is one more than the largest
+    node id and the span is the hull of the contacts ([\[0, 1)] when
+    there are none).  Any other line starting with ['#'] is a comment.
+    An [Error] names the offending line as ["line K: ..."]. *)
+
 val save : t -> path:string -> unit
 val load : path:string -> (t, string) result
 

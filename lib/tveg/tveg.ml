@@ -3,13 +3,12 @@ open Tmedb_prelude
 type link = { iv : Interval.t; dist : float }
 type channel = [ `Static | `Rayleigh | `Nakagami of float | `Lognormal of float ]
 
-(* One unordered pair's contact history.  [segs] is sorted by segment
-   start; [prefmax.(k)] is the max segment end over segs.(0..k), which
-   bounds the leftward scan in [covering_link] (overlapping segments
-   are rare, so lookups are O(log L) in practice).  [presence] is the
-   normalised union of the segment intervals, read by the
-   earliest-arrival scan and the degree average. *)
-type pair = { segs : link array; prefmax : float array; presence : Interval_set.t }
+(* One unordered pair's contact history in canonical form: [segs] are
+   disjoint pieces sorted by start, each with the distance of the first
+   record (in start order) covering its instants, and [run_hi.(k)] is
+   the end of the maximal run of touching pieces containing segs.(k) —
+   the pair is present throughout [t, run_hi.(k)) for t in that piece. *)
+type pair = { segs : link array; run_hi : float array }
 
 (* Sparse storage: only pairs with at least one contact exist.
    [adj.(i)] lists node i's contact partners ascending and
@@ -33,17 +32,38 @@ let check_pair_n n i j op =
 let check_pair t i j op = check_pair_n t.n i j op
 let sort_links links = List.sort (fun a b -> Interval.compare a.iv b.iv) links
 
-let make_pair segs_list =
-  let segs = Array.of_list segs_list in
-  let prefmax = Array.make (Array.length segs) Float.neg_infinity in
-  let m = ref Float.neg_infinity in
-  Array.iteri
-    (fun k s ->
-      m := Float.max !m s.iv.Interval.hi;
-      prefmax.(k) <- !m)
-    segs;
-  let presence = Interval_set.of_list (List.map (fun s -> s.iv) segs_list) in
-  { segs; prefmax; presence }
+(* Canonical pieces of records sorted by start, newest first among
+   equal intervals.  With [frontier] the largest end seen so far, a
+   record ending past it owns [max lo frontier, hi): exactly the
+   instants where it is the first record covering.  A record inside
+   the frontier owns nothing.  Disjoint sorted pieces map to
+   themselves, so [restrict] can rebuild from clipped pieces. *)
+let make_pair records =
+  let frontier = ref Float.neg_infinity in
+  let segs =
+    List.filter_map
+      (fun l ->
+        let hi = l.iv.Interval.hi in
+        if hi <= !frontier then None
+        else begin
+          let piece =
+            if l.iv.Interval.lo >= !frontier then l
+            else { l with iv = Interval.make ~lo:!frontier ~hi }
+          in
+          frontier := hi;
+          Some piece
+        end)
+      records
+    |> Array.of_list
+  in
+  let len = Array.length segs in
+  let run_hi = Array.make len 0. in
+  for k = len - 1 downto 0 do
+    let hi = segs.(k).iv.Interval.hi in
+    run_hi.(k) <-
+      (if k + 1 < len && Float.equal hi segs.(k + 1).iv.Interval.lo then run_hi.(k + 1) else hi)
+  done;
+  { segs; run_hi }
 
 (* Assemble the aligned store from [(i, j, pair)] with i < j, each
    unordered pair at most once. *)
@@ -83,7 +103,8 @@ let create ~n ~span ~tau entries =
     entries;
   (* Split each bucket by upper endpoint, keeping each pair's links
      newest first: the stable start-time sort preserves that order
-     among equal segments, and it decides which one covers. *)
+     among equal intervals, and [make_pair] gives the piece to the
+     first of them. *)
   let links = Array.make n [] in
   let pairs = ref [] in
   Array.iteri
@@ -128,73 +149,72 @@ let find_pair t i j =
   in
   go 0 (Array.length a - 1)
 
-let links t i j =
-  if i = j then []
+(* The pair's history, or [None] for [i = j] or a pair with no
+   contact. *)
+let pair_opt t i j op =
+  if i = j then None
   else begin
-    check_pair t i j "links";
-    match find_pair t i j with None -> [] | Some p -> Array.to_list p.segs
+    check_pair t i j op;
+    find_pair t i j
   end
+
+let links t i j = match pair_opt t i j "links" with None -> [] | Some p -> Array.to_list p.segs
 
 let neighbor_ids t i =
   if i < 0 || i >= t.n then invalid_arg "Tveg.neighbor_ids: node out of range";
   t.adj.(i)
 
-let presence t i j =
-  if i = j then Interval_set.empty
-  else begin
-    check_pair t i j "presence";
-    match find_pair t i j with None -> Interval_set.empty | Some p -> p.presence
-  end
-
-(* Index of the first covering segment in segment-start order (as
-   the dense representation's [List.find_opt] returned), or -1.
-   Binary-search the rightmost segment starting at or before [time],
-   then scan left while the prefix could still contain a cover
-   (prefmax > time), keeping the lowest-index hit. *)
-let covering_idx p time =
-  let len = Array.length p.segs in
-  if len = 0 || time < p.segs.(0).iv.Interval.lo then -1
+(* The rightmost piece starting at or before [time], or -1. *)
+let locate p time =
+  let segs = p.segs in
+  let len = Array.length segs in
+  if len = 0 || time < segs.(0).iv.Interval.lo then -1
   else begin
     let lo = ref 0 and hi = ref len in
     while !hi - !lo > 1 do
       let mid = (!lo + !hi) / 2 in
-      if p.segs.(mid).iv.Interval.lo <= time then lo := mid else hi := mid
+      if segs.(mid).iv.Interval.lo <= time then lo := mid else hi := mid
     done;
-    let best = ref (-1) in
-    let k = ref !lo and scanning = ref true in
-    while !scanning do
-      if Interval.mem p.segs.(!k).iv time then best := !k;
-      if !k = 0 || p.prefmax.(!k - 1) <= time then scanning := false else decr k
-    done;
-    !best
+    !lo
   end
 
-(* The covering segment when a transmission started at [time] also
-   completes on it (ρ_τ), or -1. *)
+(* The one contact rule: the piece containing [time] when a
+   transmission started then completes, i.e. its run of touching
+   pieces reaches past time + τ; else -1.  A [time] past the located
+   piece's end lies in a gap, where that piece's run has ended too. *)
 let live_idx t p time =
-  let k = covering_idx p time in
-  if k >= 0 && time +. t.tau < p.segs.(k).iv.Interval.hi then k else -1
+  let k = locate p time in
+  if k >= 0 && time +. t.tau < p.run_hi.(k) then k else -1
 
-let covering_link t i j time =
-  if i = j then None
-  else begin
-    check_pair t i j "covering_link";
-    match find_pair t i j with
-    | None -> None
-    | Some p ->
-        let k = covering_idx p time in
-        if k < 0 then None else Some p.segs.(k)
-  end
+(* The one departure rule: the earliest instant >= [after] at which
+   the pair is live, or infinity.  A run [lo, run_hi) is live on
+   [lo, run_hi - τ), so walk the pieces from the one located at
+   [after] until one departs in time. *)
+let depart_after t p after =
+  let segs = p.segs in
+  let rec go k =
+    if k >= Array.length segs then Float.infinity
+    else begin
+      let d = Float.max after segs.(k).iv.Interval.lo in
+      if d +. t.tau < p.run_hi.(k) then d else go (k + 1)
+    end
+  in
+  go (Int.max 0 (locate p after))
 
 let rho_tau t i j time =
-  match covering_link t i j time with
-  | None -> false
-  | Some l -> time +. t.tau < l.iv.Interval.hi
+  match pair_opt t i j "rho_tau" with None -> false | Some p -> live_idx t p time >= 0
 
 let dist_at t i j time =
-  match covering_link t i j time with
-  | Some l when time +. t.tau < l.iv.Interval.hi -> Some l.dist
-  | Some _ | None -> None
+  match pair_opt t i j "dist_at" with
+  | None -> None
+  | Some p ->
+      let k = live_idx t p time in
+      if k < 0 then None else Some p.segs.(k).dist
+
+let earliest_departure t i j ~after =
+  match pair_opt t i j "earliest_departure" with
+  | None -> Float.infinity
+  | Some p -> depart_after t p after
 
 let ed_at t ~phy ~channel i j time =
   let open Tmedb_channel in
@@ -220,8 +240,8 @@ let nth_dist_at t i k time =
   let s = live_idx t p time in
   if s < 0 then None else Some p.segs.(s).dist
 
-(* Every segment lies inside the span ([create] checks it and
-   [restrict] clips to the new span), so the points need no filter. *)
+(* Every piece lies inside the span ([create] checks it and [restrict]
+   clips to the new span), so the points need no filter. *)
 let adjacent_partition t i =
   let pts = ref [] in
   Array.iter
@@ -230,15 +250,26 @@ let adjacent_partition t i =
     t.pairs.(i);
   Array.of_list (List.sort_uniq Float.compare (t.span.Interval.lo :: t.span.Interval.hi :: !pts))
 
+(* A pair's presence is the union of its runs; each run starts at a
+   piece that does not touch its predecessor. *)
 let average_degree_over t ~window =
-  let clip = Interval_set.single window in
   let total = ref 0. in
   for i = 0 to t.n - 1 do
     Array.iteri
       (fun k j ->
-        if j > i then
-          total :=
-            !total +. Interval_set.total_length (Interval_set.inter t.pairs.(i).(k).presence clip))
+        if j > i then begin
+          let p = t.pairs.(i).(k) in
+          let present = ref 0. in
+          Array.iteri
+            (fun r s ->
+              if r = 0 || p.segs.(r - 1).iv.Interval.hi < s.iv.Interval.lo then begin
+                let lo = Float.max s.iv.Interval.lo window.Interval.lo in
+                let hi = Float.min p.run_hi.(r) window.Interval.hi in
+                if lo < hi then present := !present +. (hi -. lo)
+              end)
+            p.segs;
+          total := !total +. !present
+        end)
       t.adj.(i)
   done;
   2. *. !total /. (float_of_int t.n *. Interval.length window)
@@ -263,9 +294,8 @@ let restrict t ~span:sub =
   done;
   of_pairs ~n:t.n ~span:sub ~tau:t.tau !kept
 
-(* Temporal Dijkstra over each pair's presence windows: from a node
-   reached at time [a], a window [lo, hi) can be traversed departing at
-   max(a, lo) provided the traversal fits before [hi]. *)
+(* Temporal Dijkstra: from a node reached at time [a], each neighbour
+   is reached at the pair's earliest departure after [a] plus τ. *)
 let earliest_arrival t ~src ~t0 =
   if src < 0 || src >= t.n then invalid_arg "Tveg.earliest_arrival: src out of range";
   let arrivals = Array.make t.n Float.infinity in
@@ -274,20 +304,14 @@ let earliest_arrival t ~src ~t0 =
   arrivals.(src) <- t0;
   Pqueue.push queue t0 src;
   let relax i a =
+    let pairs = t.pairs.(i) in
     Array.iteri
       (fun k j ->
-        Interval_set.iter
-          (fun iv ->
-            let lo = iv.Interval.lo and hi = iv.Interval.hi in
-            let depart = Float.max a lo in
-            if depart +. t.tau < hi then begin
-              let arr = depart +. t.tau in
-              if arr < arrivals.(j) then begin
-                arrivals.(j) <- arr;
-                Pqueue.push queue arr j
-              end
-            end)
-          t.pairs.(i).(k).presence)
+        let arr = depart_after t pairs.(k) a +. t.tau in
+        if arr < arrivals.(j) then begin
+          arrivals.(j) <- arr;
+          Pqueue.push queue arr j
+        end)
       t.adj.(i)
   in
   let rec drain () =

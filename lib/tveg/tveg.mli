@@ -2,10 +2,20 @@
 
     A TVEG couples a deterministic TVG with, for every edge and time, an
     ED-function.  Concretely each unordered pair carries its contact
-    segments — presence interval plus distance — and the cost function
+    records — presence interval plus distance — and the cost function
     ψ derives the ED-function from the distance under a channel model.
     The uniform traversal latency τ (paper Section III-A) is stored
-    with the graph. *)
+    with the graph.
+
+    {b One contact rule.}  {!create} stores each pair in canonical
+    form: disjoint pieces sorted by start, where each instant keeps the
+    distance of the first record, in start order, that covers it
+    (newest first among equal intervals).  A run is a maximal chain of
+    touching pieces.  A link is live at [t] when [t] lies in a piece
+    and the piece's run reaches past [t + τ]; its distance is the
+    piece's.  Every query below — {!rho_tau}, {!dist_at},
+    {!iter_neighbors_at}, {!earliest_departure}, {!earliest_arrival} —
+    reads the store this one way. *)
 
 open Tmedb_prelude
 
@@ -29,19 +39,26 @@ val n : t -> int
 val span : t -> Interval.t
 val tau : t -> float
 val links : t -> int -> int -> link list
-(** Contact segments of the unordered pair, sorted by start. *)
-
-val covering_link : t -> int -> int -> float -> link option
-(** The first segment, in {!links} order, whose interval contains the
-    time — whether or not a transmission started then completes on it.
-    [None] for [i = j] or when no segment covers the time. *)
+(** The unordered pair's canonical pieces: disjoint, sorted by start,
+    their union the union of its contact records.  A record shadowed
+    by an earlier one keeps only the instants no earlier record
+    covers.  [[]] for [i = j]. *)
 
 val rho_tau : t -> int -> int -> float -> bool
-(** A transmission started at the given time completes: the edge is
+(** A transmission started at the given time completes: the time lies
+    in a piece whose run reaches past [t + τ], so the edge is
     continuously present on [\[t, t+τ\]]. *)
 
 val dist_at : t -> int -> int -> float -> float option
-(** Distance during the covering segment when [rho_tau] holds. *)
+(** The distance of the piece containing the time, when {!rho_tau}
+    holds; [None] otherwise.  O(log L). *)
+
+val earliest_departure : t -> int -> int -> after:float -> float
+(** The earliest instant at or after [after] at which {!rho_tau}
+    holds for the pair, or [infinity] when none does (always for
+    [i = j]).  A run [\[lo, hi)] is live on [\[lo, hi - τ)], so this
+    is [max after lo] for the first run where that fits.
+    O(log L) plus the pieces skipped. *)
 
 val ed_at : t -> phy:Tmedb_channel.Phy.t -> channel:channel -> int -> int -> float ->
   Tmedb_channel.Ed_function.t
@@ -50,16 +67,16 @@ val ed_at : t -> phy:Tmedb_channel.Phy.t -> channel:channel -> int -> int -> flo
 
 val iter_neighbors_at : t -> int -> float -> (int -> float -> unit) -> unit
 (** [iter_neighbors_at g i t f] calls [f j dist] for every neighbour
-    [j] with ρ_τ = 1 at [t], ascending node id, without building a
-    list.  O(deg(i) · log L) — only nodes sharing a contact with [i]
-    are examined, not all N. *)
+    [j] with ρ_τ = 1 at [t] and its {!dist_at}, ascending node id,
+    without building a list.  O(deg(i) · log L) — only nodes sharing
+    a contact with [i] are examined, not all N. *)
 
 val neighbors_at : t -> int -> float -> (int * float) list
 (** The (neighbour, distance) pairs {!iter_neighbors_at} visits, in
     the same ascending order. *)
 
 val neighbor_ids : t -> int -> int array
-(** Nodes sharing at least one contact segment with the given node
+(** Nodes sharing at least one contact record with the given node
     over the whole span, ascending.  O(1); the returned array is the
     graph's own adjacency — callers must not mutate it. *)
 
@@ -68,29 +85,31 @@ val nth_dist_at : t -> int -> int -> float -> float option
     g i).(k)], read from the pair stored at that position instead of
     searching for it.  O(log L). *)
 
-val presence : t -> int -> int -> Interval_set.t
-(** Normalised union of the pair's contact segments: the times at
-    which the edge exists, as a canonical interval set.  O(1) (built
-    at construction); empty for a pair with no contacts or [i = j]. *)
-
 val earliest_arrival : t -> src:int -> t0:float -> float array
 (** Earliest packet arrival per node from [src] starting at [t0]
-    (temporal Dijkstra over each pair's {!presence}, traversal latency
-    τ); [infinity] for a node no journey reaches, [t0] at [src].  This
-    one scan answers temporal reachability: every node is
-    journey-reachable by a deadline when every arrival is at most it.
-    O(C + N log N) for C contact segments. *)
+    (temporal Dijkstra: a node reached at [a] reaches each neighbour
+    at its {!earliest_departure} after [a] plus τ); [infinity] for a
+    node no journey reaches, [t0] at [src].  This one scan answers
+    temporal reachability: every node is journey-reachable by a
+    deadline when every arrival is at most it.  O(C + N log N) for C
+    pieces. *)
 
 val adjacent_partition : t -> int -> float array
 (** P^ad_i over the graph span (Equation 9): the span endpoints and
-    every endpoint of a contact segment of node [i], sorted ascending
-    without duplicates.  Within each interval between consecutive
-    points the set of nodes connected to [i] is constant. *)
+    every endpoint of a canonical piece ({!links}) of node [i], sorted
+    ascending without duplicates.  Within each interval between
+    consecutive points the set of nodes connected to [i], and each
+    one's distance, is constant. *)
 
 val average_degree_over : t -> window:Interval.t -> float
 (** Time-averaged mean node degree over the window (Fig. 7(b)):
-    (2 Σ_{i<j} |presence_ij ∩ window|) / (n |window|), summed in
-    ascending (i, j) order. *)
+    (2 Σ_{i<j} |presence_ij ∩ window|) / (n |window|), where a pair's
+    presence is the union of its runs, summed in ascending (i, j)
+    order. *)
 
 val restrict : t -> span:Interval.t -> t
+(** The graph on a sub-span: each piece clipped to it and the runs
+    recomputed, so a run cut by the sub-span ends at its end.
+    @raise Invalid_argument when the sub-span is not inside the span. *)
+
 val pp : Format.formatter -> t -> unit

@@ -194,6 +194,14 @@ for cmd in compare simulate; do
   expect_exit2 "$cmd" --deadline 8 --trials=-3 "$tt"
 done
 expect_exit2 run --deadline 8 --trials=-3 "$tt"
+# CSV boundary: a header with trailing text, or a second header, is a
+# load error naming its line, not a silently accepted trace.
+tt3=$(mktemp); tt4=$(mktemp)
+trap 'rm -f "$m" "$m2" "$m3" "$ptrace" "$l1" "$l2" "$pl1" "$pl2" "$pl3" "$tt" "$tt2" "$tt3" "$tt4"; rm -rf "$pdir" "$pdir2"' EXIT
+printf '# tmedb-trace n=3 span=0,10 junk\n0,1,0,10,10\n' > "$tt3"
+printf '# tmedb-trace n=3 span=0,10\n0,1,0,10,10\n# tmedb-trace n=3 span=0,10\n' > "$tt4"
+expect_exit2 stats "$tt3"
+expect_exit2 stats "$tt4"
 
 # Bench gates at quick scale: shared == independent point lists and
 # sublinear reuse counters (bench exits non-zero on either), with the

@@ -218,49 +218,13 @@ let test_iset_merges_touching () =
   let s = set [ (0., 1.); (1., 2.) ] in
   check_int "abutting merge" 1 (Interval_set.cardinal s)
 
-let test_iset_union () =
-  let a = set [ (0., 1.); (4., 5.) ] and b = set [ (0.5, 4.2) ] in
-  let u = Interval_set.union a b in
-  check_int "one blob" 1 (Interval_set.cardinal u);
-  check_float "span" 5. (Interval_set.total_length u)
-
 let test_iset_inter () =
   let a = set [ (0., 2.); (3., 5.) ] and b = set [ (1., 4.) ] in
   let i = Interval_set.inter a b in
   check_int "two pieces" 2 (Interval_set.cardinal i);
   check_float "length 2" 2. (Interval_set.total_length i)
 
-let test_iset_diff () =
-  let a = set [ (0., 10.) ] and b = set [ (2., 3.); (5., 6.) ] in
-  let d = Interval_set.diff a b in
-  check_float "length 8" 8. (Interval_set.total_length d);
-  check_bool "2.5 removed" false (Interval_set.mem d 2.5);
-  check_bool "4 kept" true (Interval_set.mem d 4.)
-
-let test_iset_complement () =
-  let s = set [ (1., 2.); (3., 4.) ] in
-  let c = Interval_set.complement s ~span:(iv 0. 5.) in
-  check_float "complement length" 3. (Interval_set.total_length c);
-  check_bool "0.5 in" true (Interval_set.mem c 0.5);
-  check_bool "1.5 out" false (Interval_set.mem c 1.5)
-
-let test_iset_covering () =
-  let s = set [ (1., 2.); (3., 4.) ] in
-  (match Interval_set.covering s 3.5 with
-  | Some i -> check_bool "covers" true (Interval.equal i (iv 3. 4.))
-  | None -> Alcotest.fail "expected covering interval");
-  check_bool "gap none" true (Interval_set.covering s 2.5 = None)
-
-let test_iset_boundaries () =
-  let s = set [ (1., 2.); (3., 4.) ] in
-  Alcotest.(check (list (float 0.))) "boundaries" [ 1.; 2.; 3.; 4. ] (Interval_set.boundaries s)
-
-let test_iset_subset () =
-  check_bool "subset" true (Interval_set.subset (set [ (1., 2.) ]) (set [ (0., 3.) ]));
-  check_bool "not subset" false (Interval_set.subset (set [ (1., 4.) ]) (set [ (0., 3.) ]))
-
-(* Properties: union length bounds, inter commutes, diff/inter
-   partition. *)
+(* Property: inter commutes. *)
 let iset_gen =
   let open QCheck in
   let pair_gen =
@@ -275,30 +239,9 @@ let iset_gen =
     Gen.(map (fun l -> Interval_set.of_list (List.map (fun (a, b) -> iv a b) l))
            (list_size (int_bound 8) pair_gen))
 
-let prop_union_length =
-  QCheck.Test.make ~name:"iset union length <= sum of lengths" ~count:300
-    (QCheck.pair iset_gen iset_gen) (fun (a, b) ->
-      let u = Interval_set.union a b in
-      let la = Interval_set.total_length a and lb = Interval_set.total_length b in
-      let lu = Interval_set.total_length u in
-      lu <= la +. lb +. 1e-9 && lu >= Float.max la lb -. 1e-9)
-
 let prop_inter_commutes =
   QCheck.Test.make ~name:"iset inter commutes" ~count:300 (QCheck.pair iset_gen iset_gen)
     (fun (a, b) -> Interval_set.equal (Interval_set.inter a b) (Interval_set.inter b a))
-
-let prop_diff_inter_partition =
-  QCheck.Test.make ~name:"iset |a| = |a∩b| + |a\\b|" ~count:300 (QCheck.pair iset_gen iset_gen)
-    (fun (a, b) ->
-      let la = Interval_set.total_length a in
-      let li = Interval_set.total_length (Interval_set.inter a b) in
-      let ld = Interval_set.total_length (Interval_set.diff a b) in
-      Float.abs (la -. (li +. ld)) < 1e-6)
-
-let prop_union_mem =
-  QCheck.Test.make ~name:"iset union membership" ~count:300
-    (QCheck.triple iset_gen iset_gen (QCheck.float_range 0. 10.)) (fun (a, b, x) ->
-      Interval_set.mem (Interval_set.union a b) x = (Interval_set.mem a x || Interval_set.mem b x))
 
 (* Model-based properties: a raw (unsorted, overlapping) endpoint list
    is the naive model — membership is List.exists over half-open
@@ -331,16 +274,15 @@ let prop_model_pointwise =
       let s = set raw in
       List.for_all (fun t -> Interval_set.mem s t = model_mem raw t) (0. :: sample_points raw))
 
+(* [inter] against the model; the name predates the removal of
+   [Interval_set.diff]. *)
 let prop_model_ops =
   QCheck.Test.make ~name:"iset inter/diff agree with naive model" ~count:300
     (QCheck.pair raw_gen raw_gen) (fun (ra, rb) ->
       let a = set ra and b = set rb in
       let pts = 0. :: (sample_points ra @ sample_points rb) in
       List.for_all
-        (fun t ->
-          Interval_set.mem (Interval_set.inter a b) t = (model_mem ra t && model_mem rb t)
-          && Interval_set.mem (Interval_set.diff a b) t
-             = (model_mem ra t && not (model_mem rb t)))
+        (fun t -> Interval_set.mem (Interval_set.inter a b) t = (model_mem ra t && model_mem rb t))
         pts)
 
 let prop_canonical_form =
@@ -700,17 +642,8 @@ let () =
         [
           tc "normalizes" test_iset_normalizes;
           tc "merges touching" test_iset_merges_touching;
-          tc "union" test_iset_union;
           tc "inter" test_iset_inter;
-          tc "diff" test_iset_diff;
-          tc "complement" test_iset_complement;
-          tc "covering" test_iset_covering;
-          tc "boundaries" test_iset_boundaries;
-          tc "subset" test_iset_subset;
-          QCheck_alcotest.to_alcotest prop_union_length;
           QCheck_alcotest.to_alcotest prop_inter_commutes;
-          QCheck_alcotest.to_alcotest prop_diff_inter_partition;
-          QCheck_alcotest.to_alcotest prop_union_mem;
           QCheck_alcotest.to_alcotest prop_model_pointwise;
           QCheck_alcotest.to_alcotest prop_model_ops;
           QCheck_alcotest.to_alcotest prop_canonical_form;

@@ -77,7 +77,7 @@ let test_trace_restrict () =
 (* The trace's presence graph, as the sparse store builds it. *)
 let test_trace_presence () =
   let g = Tveg.of_trace ~tau:0. (sample_trace ()) in
-  let present i j t = Interval_set.mem (Tveg.presence g i j) t in
+  let present i j t = Tveg.rho_tau g i j t in
   check_bool "0-1 at 15" true (present 0 1 15.);
   check_bool "0-1 at 30" false (present 0 1 30.);
   check_bool "2-3 at 50" true (present 2 3 50.)
@@ -137,6 +137,47 @@ let test_csv_malformed_header () =
   | Ok t ->
       check_int "declared n" 3 (Trace.n t);
       check_bool "declared span" true (Interval.equal (iv 0. 10.) (Trace.span t))
+
+(* Each header-boundary fault is an error that names its line. *)
+let check_csv_error body line fragment =
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  match Trace.of_csv body with
+  | Ok _ -> Alcotest.fail ("accepted " ^ String.escaped body)
+  | Error e -> check_bool e true (String.starts_with ~prefix:line e && contains e fragment)
+
+let test_csv_header_trailing_text () =
+  check_csv_error "# tmedb-trace n=3 span=0,10 junk\n0,1,0,5,10\n" "line 1:" "trailing text";
+  check_csv_error "# tmedb-trace n=3 span=0,10junk\n0,1,0,5,10\n" "line 1:" "trailing text"
+
+let test_csv_repeated_header () =
+  check_csv_error "# tmedb-trace n=3 span=0,10\n0,1,0,5,10\n\n# tmedb-trace n=4 span=0,20\n"
+    "line 4:" "first on line 1"
+
+let test_csv_header_nonpositive_n () =
+  List.iter
+    (fun n ->
+      check_csv_error
+        (Printf.sprintf "# a comment\n# tmedb-trace n=%d span=0,10\n" n)
+        "line 2:" "n must be positive")
+    [ 0; -2 ]
+
+(* With a header, the contacts must fit it: a node id at or above n,
+   or an interval leaving the span, is an error at that contact's
+   line, wherever the header sits. *)
+let test_csv_contact_outside_header () =
+  check_csv_error "# tmedb-trace n=3 span=0,10\n0,1,0,5,10\n1,3,2,4,10\n" "line 3:"
+    "node 3 out of range for n=3";
+  check_csv_error "0,1,0,5,10\n0,2,8,12,10\n# tmedb-trace n=3 span=0,10\n" "line 2:"
+    "outside the declared span";
+  check_csv_error "# tmedb-trace n=3 span=5,10\n0,1,4,6,10\n" "line 2:"
+    "outside the declared span";
+  match Trace.of_csv "0,1,0,5,10\n# tmedb-trace n=3 span=0,10\n" with
+  | Error e -> Alcotest.fail e
+  | Ok t -> check_int "header after contacts" 3 (Trace.n t)
 
 let test_save_load () =
   let t = sample_trace () in
@@ -331,6 +372,10 @@ let () =
           tc "malformed header" test_csv_malformed_header;
           tc "save/load" test_save_load;
           QCheck_alcotest.to_alcotest prop_synth_csv_roundtrip;
+          tc "header trailing text" test_csv_header_trailing_text;
+          tc "repeated header" test_csv_repeated_header;
+          tc "header n <= 0" test_csv_header_nonpositive_n;
+          tc "contact outside header" test_csv_contact_outside_header;
         ] );
       ( "synth",
         [

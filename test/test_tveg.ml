@@ -103,16 +103,15 @@ let test_tveg_validation () =
     [ Float.nan; Float.infinity ]
 
 (* Model-based check of the contact store: random contact lists with
-   overlapping segments, shared endpoints and duplicate intervals, both
-   τ = 0 and τ > 0.  The model is the raw entry list: a pair's links
-   are its entries, newest first, stably sorted by interval; the
-   covering link is the first of them containing the time; ρ_τ needs
-   the transmission to end before that link does.  Every query is
-   probed at every segment endpoint (and endpoint − τ) and just around
-   it, on the graph and on a restriction of it. *)
-let link_equal (a : Tveg.link) (b : Tveg.link) =
-  Interval.equal a.Tveg.iv b.Tveg.iv && Float.equal a.Tveg.dist b.Tveg.dist
-
+   overlapping records, shared endpoints and duplicate intervals, both
+   τ = 0 and τ > 0.  The model is the raw record list: a pair's
+   records, newest first, stably sorted by interval.  The distance at
+   t is that of the first record containing t; the link is live at t
+   when the union run of records containing t reaches past t + τ; the
+   links are disjoint sorted pieces whose union is the records' union,
+   each with the distance the model gives at its start.  Every query
+   is probed at every record endpoint (and endpoint − τ) and just
+   around it, on the graph and on a restriction of it. *)
 let nbrs_equal = List.equal (fun (j, d) (j', d') -> j = j' && Float.equal d d')
 
 let check_store_against_model ~n ~tau ~model g =
@@ -132,18 +131,53 @@ let check_store_against_model ~n ~tau ~model g =
     done
   done;
   let model_cover i j t = List.find_opt (fun (l : Tveg.link) -> Interval.mem l.Tveg.iv t) (model i j) in
+  (* End of the union run containing t: follow covering records until
+     an instant none covers. *)
+  let rec run_end i j c =
+    match List.filter (fun (l : Tveg.link) -> Interval.mem l.Tveg.iv c) (model i j) with
+    | [] -> c
+    | cover ->
+        run_end i j
+          (List.fold_left (fun m (l : Tveg.link) -> Float.max m l.Tveg.iv.Interval.hi) c cover)
+  in
   let model_dist i j t =
     match model_cover i j t with
-    | Some l when t +. tau < l.Tveg.iv.Interval.hi -> Some l.Tveg.dist
+    | Some l when t +. tau < run_end i j t -> Some l.Tveg.dist
     | Some _ | None -> None
+  in
+  (* The live set is a union of [run start, run end − τ), so the
+     earliest live instant from t is t itself or a later record
+     start. *)
+  let model_depart i j t =
+    List.filter_map
+      (fun (l : Tveg.link) ->
+        let lo = l.Tveg.iv.Interval.lo in
+        if lo > t then Some lo else None)
+      (model i j)
+    |> List.cons t
+    |> List.sort Float.compare
+    |> List.find_opt (fun c -> Option.is_some (model_dist i j c))
+    |> Option.value ~default:Float.infinity
   in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       if i <> j then begin
-        let m = model i j in
-        if not (List.equal link_equal m (Tveg.links g i j)) then ok := false;
-        let pres = Interval_set.of_list (List.map (fun (l : Tveg.link) -> l.Tveg.iv) m) in
-        if not (Interval_set.equal pres (Tveg.presence g i j)) then ok := false
+        let pieces = Tveg.links g i j in
+        let ivs ls = List.map (fun (l : Tveg.link) -> l.Tveg.iv) ls in
+        let rec disjoint = function
+          | (a : Tveg.link) :: (b :: _ as rest) ->
+              a.Tveg.iv.Interval.hi <= b.Tveg.iv.Interval.lo && disjoint rest
+          | [ _ ] | [] -> true
+        in
+        if not (disjoint pieces) then ok := false;
+        let union ls = Interval_set.of_list (ivs ls) in
+        if not (Interval_set.equal (union (model i j)) (union pieces)) then ok := false;
+        List.iter
+          (fun (l : Tveg.link) ->
+            match model_cover i j l.Tveg.iv.Interval.lo with
+            | Some m when Float.equal m.Tveg.dist l.Tveg.dist -> ()
+            | Some _ | None -> ok := false)
+          pieces
       end
     done
   done;
@@ -166,11 +200,11 @@ let check_store_against_model ~n ~tau ~model g =
           (Tveg.neighbor_ids g i);
         for j = 0 to n - 1 do
           if i <> j then begin
-            if not (Option.equal link_equal (model_cover i j t) (Tveg.covering_link g i j t)) then
-              ok := false;
             if not (Option.equal Float.equal (model_dist i j t) (Tveg.dist_at g i j t)) then
               ok := false;
-            if Tveg.rho_tau g i j t <> Option.is_some (model_dist i j t) then ok := false
+            if Tveg.rho_tau g i j t <> Option.is_some (model_dist i j t) then ok := false;
+            if not (Float.equal (model_depart i j t) (Tveg.earliest_departure g i j ~after:t)) then
+              ok := false
           end
         done
       done)
@@ -269,25 +303,29 @@ let naive_arrivals ~n ~tau entries ~src ~t0 =
   done;
   arr
 
+(* Up to three records per pair of [n] nodes inside [0, 10).  Half-unit
+   endpoints make touching and overlapping records of one pair, and
+   arrivals tied to a half-unit deadline, common. *)
+let half_unit_entries rng n =
+  let entries = ref [] in
+  for i = 0 to n - 2 do
+    for j = i + 1 to n - 1 do
+      for _ = 1 to Rng.int rng 4 do
+        let lo = 0.5 *. float_of_int (Rng.int rng 19) in
+        let hi = Float.min 10. (lo +. (0.5 *. float_of_int (1 + Rng.int rng 6))) in
+        entries := (i, j, link lo hi (1. +. Rng.float rng 9.)) :: !entries
+      done
+    done
+  done;
+  List.rev !entries
+
 let prop_earliest_arrival_reference =
   QCheck.Test.make ~name:"earliest arrival = naive relaxation" ~count:200 QCheck.small_int
     (fun seed ->
       let rng = Rng.create seed in
       let n = 1 + Rng.int rng 6 in
       let tau = [| 0.; 0.5; 1. |].(seed mod 3) in
-      let entries = ref [] in
-      for i = 0 to n - 2 do
-        for j = i + 1 to n - 1 do
-          for _ = 1 to Rng.int rng 4 do
-            (* Half-unit endpoints make touching and overlapping
-               segments of one pair common. *)
-            let lo = 0.5 *. float_of_int (Rng.int rng 19) in
-            let hi = Float.min 10. (lo +. (0.5 *. float_of_int (1 + Rng.int rng 6))) in
-            entries := (i, j, link lo hi (1. +. Rng.float rng 9.)) :: !entries
-          done
-        done
-      done;
-      let entries = List.rev !entries in
+      let entries = half_unit_entries rng n in
       let g = Tveg.create ~n ~span:span10 ~tau entries in
       let arrays_equal a b = Array.for_all2 Float.equal a b in
       List.for_all
@@ -312,6 +350,89 @@ let prop_earliest_arrival_reference =
                    (Array.fold_left Float.max 0. reference))
             [ 2.; 5.5; 10. ])
         (List.init n Fun.id))
+
+(* The one contact rule on single-pair probes: EEDCB, SPT, GREED and
+   BIP reach node 1 exactly when the earliest-arrival scan says it can
+   by the deadline, and each complete schedule is feasible. *)
+let probe_planners = Tmedb.[ Eedcb.planner; Spt.planner; Greedy.planner; Static_bip.planner ]
+
+let check_probe label ~tau ~deadline records ~unreached =
+  let g =
+    Tveg.create ~n:2 ~span:span10 ~tau (List.map (fun (lo, hi, d) -> (0, 1, link lo hi d)) records)
+  in
+  let p = Tmedb.Problem.make ~graph:g ~phy:Phy.default ~channel:`Static ~source:0 ~deadline () in
+  check_bool (label ^ ": is_reachable") true (Tmedb.Problem.is_reachable p);
+  List.iter2
+    (fun planner expected ->
+      let o = Tmedb.Planner.run planner p in
+      let name = Printf.sprintf "%s: %s" label (Tmedb.Planner.name planner) in
+      Alcotest.(check (list int)) (name ^ " unreached") expected o.Tmedb.Planner.Outcome.unreached;
+      let report = o.Tmedb.Planner.Outcome.report in
+      if expected = [] then check_bool (name ^ " feasible") true report.Tmedb.Feasibility.feasible)
+    probe_planners unreached
+
+(* Touching records are one presence run: departing at 0 on the first
+   arrives at 2, although neither record alone holds a τ = 2 transfer
+   before 3. *)
+let test_tveg_probe_touching () =
+  check_probe "touching" ~tau:2. ~deadline:3.
+    [ (0., 1.5, 10.); (1.5, 5., 20.) ]
+    ~unreached:[ []; []; []; [] ]
+
+(* Overlapping records form the run [0, 5), which carries a τ = 3.5
+   transfer from any t < 1.5, though no single record does. *)
+let test_tveg_probe_overlapping () =
+  check_probe "overlapping" ~tau:3.5 ~deadline:5.
+    [ (0., 3., 10.); (1., 5., 20.) ]
+    ~unreached:[ []; []; []; [] ]
+
+let test_tveg_probe_alone () =
+  check_probe "alone" ~tau:3.5 ~deadline:5. [ (1., 5., 20.) ] ~unreached:[ []; []; []; [] ]
+
+(* Known divergence, pinned: an arrival exactly at T.  EEDCB and SPT
+   plan on [Problem.clip]'s [lo, T), so they count an arrival only
+   strictly before T; Feasibility, GREED and BIP accept one at T. *)
+let test_tveg_deadline_tie () =
+  List.iter
+    (fun (tau, deadline) ->
+      check_probe
+        (Printf.sprintf "tie tau %g T %g" tau deadline)
+        ~tau ~deadline
+        [ (2., 5., 10.) ]
+        ~unreached:[ [ 1 ]; [ 1 ]; []; [] ])
+    [ (0., 2.); (1., 3.) ]
+
+(* EEDCB and SPT against the earliest-arrival scan on random 2–6-node
+   graphs of [half_unit_entries].  Both planners count an arrival
+   only strictly before T, so each leaves nobody unreached exactly
+   when every earliest arrival is < T; Feasibility accepts each
+   complete schedule, at a cost no lower than the certified bound. *)
+let prop_planners_match_reachability =
+  QCheck.Test.make ~name:"EEDCB/SPT complete iff every earliest arrival < T" ~count:400
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 5 in
+      let tau = [| 0.; 0.5; 1.; 2. |].(seed mod 4) in
+      let g = Tveg.create ~n ~span:span10 ~tau (half_unit_entries rng n) in
+      let src = seed mod n in
+      let arrivals = Tveg.earliest_arrival g ~src ~t0:0. in
+      List.for_all
+        (fun deadline ->
+          let p =
+            Tmedb.Problem.make ~graph:g ~phy:Phy.default ~channel:`Static ~source:src ~deadline ()
+          in
+          let complete = Array.for_all (fun a -> a < deadline) arrivals in
+          List.for_all
+            (fun planner ->
+              let o = Tmedb.Planner.run planner p in
+              let report = o.Tmedb.Planner.Outcome.report in
+              (o.Tmedb.Planner.Outcome.unreached = []) = complete
+              && ((not complete)
+                 || report.Tmedb.Feasibility.feasible
+                    && Tmedb.Metrics.energy_lower_bound p
+                       <= report.Tmedb.Feasibility.total_cost +. 1e-18))
+            Tmedb.[ Eedcb.planner; Spt.planner ])
+        [ 2.; 5.5; 10. ])
 
 (* ------------------------------------------------------------------ *)
 (* Dts *)
@@ -906,6 +1027,11 @@ let () =
           tc "validation" test_tveg_validation;
           QCheck_alcotest.to_alcotest prop_contact_store_model;
           QCheck_alcotest.to_alcotest prop_earliest_arrival_reference;
+          tc "one rule: touching records" test_tveg_probe_touching;
+          tc "one rule: overlapping records" test_tveg_probe_overlapping;
+          tc "one rule: lone record" test_tveg_probe_alone;
+          tc "deadline tie: EEDCB/SPT need arrival < T" test_tveg_deadline_tie;
+          QCheck_alcotest.to_alcotest prop_planners_match_reachability;
         ] );
       ( "dts",
         [

@@ -39,7 +39,7 @@ let sample ?tau () = graph ?tau [ (0, 1, 0., 4.); (0, 1, 6., 8.); (1, 2, 3., 7.)
 
 let test_tvg_presence () =
   let g = sample () in
-  let present i j t = Interval_set.mem (Tveg.presence g i j) t in
+  let present i j t = Tveg.rho_tau g i j t in
   check_bool "0-1 at 2" true (present 0 1 2.);
   check_bool "0-1 at 5" false (present 0 1 5.);
   check_bool "symmetric" true (present 1 0 2.);
@@ -81,10 +81,9 @@ let test_tvg_average_degree () =
 
 let test_tvg_restrict () =
   let r = Tveg.restrict (sample ()) ~span:(iv 3. 7.) in
-  check_bool "0-1 clipped" true
-    (Interval_set.equal (Tveg.presence r 0 1) (Interval_set.of_list [ iv 3. 4.; iv 6. 7. ]));
-  check_bool "1-2 kept" true
-    (Interval_set.equal (Tveg.presence r 1 2) (Interval_set.single (iv 3. 7.)))
+  let pieces i j = List.map (fun (l : Tveg.link) -> l.Tveg.iv) (Tveg.links r i j) in
+  check_bool "0-1 clipped" true (List.equal Interval.equal [ iv 3. 4.; iv 6. 7. ] (pieces 0 1));
+  check_bool "1-2 kept" true (List.equal Interval.equal [ iv 3. 7. ] (pieces 1 2))
 
 let test_tvg_validation () =
   Alcotest.check_raises "self loop" (Invalid_argument "Tveg.create: self-loop") (fun () ->
