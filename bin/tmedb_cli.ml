@@ -191,14 +191,15 @@ let load_trace path =
    the Steiner level at least 1, the Monte-Carlo trial count [k] of
    [~trials:(k, least)] at least [least].  Bad input exits 2 with a
    readable message instead of an uncaught exception. *)
+let arg_error cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "tmedb_cli %s: %s\n" cmd msg;
+      exit 2)
+    fmt
+
 let check_args cmd trace ?level ?trials ~source deadlines =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "tmedb_cli %s: %s\n" cmd msg;
-        exit 2)
-      fmt
-  in
+  let fail fmt = arg_error cmd fmt in
   let span = Tmedb_trace.Trace.span trace in
   List.iter
     (fun d ->
@@ -242,6 +243,11 @@ let gen_cmd =
       required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output CSV.")
   in
   let run kind nodes horizon seed out =
+    (* The generators' own boundary, checked here so that bad input
+       exits 2 with a message rather than an uncaught exception. *)
+    if nodes < 2 then arg_error "gen" "nodes %d is below 2" nodes;
+    if not (horizon > 0. && Float.is_finite horizon) then
+      arg_error "gen" "horizon %g is not positive and finite" horizon;
     let rng = Rng.create seed in
     let trace =
       match kind with

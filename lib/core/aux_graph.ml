@@ -186,7 +186,7 @@ module Lazy = struct
     st.s_off <- grow st.s_off (st.s_rows + rows + 1) 0;
     st.s_fresh <- grow st.s_fresh (st.s_fresh_len + fresh) 0
 
-  (* The [levels] levels a {!Dcs.fill} left in [sc]. *)
+  (* The [levels] levels a {!Dcs.sweep} step left in [sc]. *)
   let push_scratch st (sc : Dcs.scratch) levels =
     let served = sc.Dcs.level_start.(levels) in
     reserve st ~rows:levels ~fresh:served;
@@ -269,10 +269,11 @@ module Lazy = struct
       edges_materialized = 0;
     }
 
-  (* The one-shot sizing pass: one {!Dcs.fill} per block that can
-     finish by the deadline fixes the id layout — wait ids first, then
-     level ids in block order — and fills the level table, so neither
-     the lazy view nor the forcing pass queries the DCS again. *)
+  (* The one-shot sizing pass: one {!Dcs.sweep} per node, stepped to
+     each of its blocks that can finish by the deadline, fixes the id
+     layout — wait ids first, then level ids in block order — and fills
+     the level table, so neither the lazy view nor the forcing pass
+     queries the DCS again. *)
   let create (problem : Problem.t) dts =
     with_create_telemetry @@ fun () ->
     let g = problem.Problem.graph in
@@ -294,12 +295,13 @@ module Lazy = struct
     let rows =
       Array.init n (fun i ->
           let pts = Dts.node_points dts i in
+          let next = Dcs.sweep sc g pricing ~node:i in
           Array.iteri
             (fun l t ->
               let bid = base.(i) + l in
               row.(bid) <- st.s_rows;
               if t +. tau <= deadline then begin
-                let levels = Dcs.fill sc g pricing ~node:i ~time:t in
+                let levels = next t in
                 push_scratch st sc levels;
                 level_off.(bid + 1) <- level_off.(bid) + levels;
                 edge_bound := !edge_bound + levels + sc.Dcs.level_start.(levels)

@@ -91,10 +91,12 @@ module Lazy : sig
   (** A lazily expanded auxiliary graph over a problem and its DTS. *)
 
   val create : Problem.t -> Tmedb_tveg.Dts.t -> t
-  (** The sizing pass: one {!Tmedb_tveg.Dcs.fill} per block whose
-      transmission can finish by the deadline, O(Σ_blocks deg·log deg),
-      filling the level table; no edge materialisation.  Uses the
-      instance's design channel for DCS costs, exactly like {!build}. *)
+  (** The sizing pass: one {!Tmedb_tveg.Dcs.sweep} per node over its
+      contact events, stepped to each block whose transmission can
+      finish by the deadline, O(E log E + P·live) per node for E live
+      pieces and P blocks, filling the level table; no edge
+      materialisation.  Uses the instance's design channel for DCS
+      costs, exactly like {!build}. *)
 
   val create_with :
     marginals:(node:int -> time:float -> Tmedb_tveg.Dcs.marginal list) ->

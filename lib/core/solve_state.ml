@@ -41,21 +41,21 @@ let create ?cap_per_node (problem : Problem.t) =
      (ρ_τ is strict at interval ends), so one memo serves every
      deadline up to the horizon; blocks finishing at or past a queried
      deadline are answered [] by {!marginals} without a lookup. *)
-  let query i p =
-    if p +. tau < horizon then Dcs.marginals_at g ~phy ~channel ~node:i ~time:p else []
-  in
   let n = Dts.num_nodes dts in
-  (* A node's neighbourhood only changes at its contact boundaries, so
-     runs of consecutive points (19 per run on the uncapped N = 40
-     Scale closure) query equal marginals.  Each run keeps one physical
-     list: the memo stays small for the GC, and each lazy graph converts
-     each run into its level table once. *)
+  (* One contact-event sweep per node, stepped to each point.  A node's
+     neighbourhood only changes at its contact boundaries, so runs of
+     consecutive points (19 per run on the uncapped N = 40 Scale
+     closure) see equal marginals.  Each run keeps one physical list:
+     the memo stays small for the GC, and each lazy graph converts each
+     run into its level table once. *)
+  let pricing = Dcs.pricing ~phy ~channel and sc = Dcs.scratch () in
   let margs =
     Array.init n (fun i ->
+        let next = Dcs.sweep sc g pricing ~node:i in
         let prev = ref [] in
         Array.map
           (fun p ->
-            let m = query i p in
+            let m = if p +. tau < horizon then Dcs.marginals sc (next p) else [] in
             if not (List.equal Dcs.equal_marginal m !prev) then prev := m;
             !prev)
           (Dts.node_points dts i))
@@ -67,7 +67,9 @@ let create ?cap_per_node (problem : Problem.t) =
     Array.init n (fun i ->
         let a = Dts.arrival dts i in
         if a > lo && a < horizon then begin
-          let m = query i lo in
+          let m =
+            if lo +. tau < horizon then Dcs.marginals_at g ~phy ~channel ~node:i ~time:lo else []
+          in
           Some (m, Dcs.level_stats m)
         end
         else None)

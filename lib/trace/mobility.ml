@@ -25,7 +25,8 @@ let default_params =
 
 let validate p =
   if p.n < 2 then invalid_arg "Mobility.generate: need n >= 2";
-  if p.horizon <= 0. || p.arena <= 0. then invalid_arg "Mobility.generate: bad horizon/arena";
+  if not (p.horizon > 0. && Float.is_finite p.horizon) || p.arena <= 0. then
+    invalid_arg "Mobility.generate: bad horizon/arena";
   if not (0. < p.v_min && p.v_min <= p.v_max) then invalid_arg "Mobility.generate: bad speeds";
   if p.pause_max < 0. then invalid_arg "Mobility.generate: negative pause";
   if p.range <= 0. || p.range >= p.arena then invalid_arg "Mobility.generate: bad range";

@@ -27,6 +27,10 @@ val default_params : params
     pauses up to 120 s, 50 m range, 5 s sampling. *)
 
 val generate : Rng.t -> params -> Trace.t
+(** Deterministic in the generator state.
+    @raise Invalid_argument on fewer than 2 nodes, a horizon that is
+    not positive and finite, or inconsistent arena, speed, pause, range
+    or sampling parameters. *)
 
 val positions_at : Rng.t -> params -> float -> (float * float) array
 (** One draw of node positions at the given time (fresh trajectories;

@@ -36,7 +36,8 @@ let ramp_profile ~t0 ~t1 ~low t =
 
 let validate p =
   if p.n < 2 then invalid_arg "Synth.generate: need n >= 2";
-  if p.horizon <= 0. then invalid_arg "Synth.generate: horizon <= 0";
+  if not (p.horizon > 0. && Float.is_finite p.horizon) then
+    invalid_arg "Synth.generate: horizon not positive and finite";
   if not (0. < p.gap_lo && p.gap_lo < p.gap_hi) then invalid_arg "Synth.generate: bad gap bounds";
   if p.gap_alpha <= 0. then invalid_arg "Synth.generate: gap_alpha <= 0";
   if p.duration_mean <= 0. then invalid_arg "Synth.generate: duration_mean <= 0";

@@ -38,7 +38,10 @@ val default_params : params
 
 val with_n : params -> int -> params
 val generate : Rng.t -> params -> Trace.t
-(** Deterministic in the generator state. *)
+(** Deterministic in the generator state.
+    @raise Invalid_argument on fewer than 2 nodes, a horizon that is
+    not positive and finite, or inconsistent gap, duration, distance or
+    sociability parameters. *)
 
 val ramp_profile : t0:float -> t1:float -> low:float -> float -> float
 (** Piecewise-linear density: [low] before [t0], rising linearly to 1

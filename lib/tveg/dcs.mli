@@ -24,51 +24,68 @@ type level = {
 }
 
 type pricing
-(** The per-neighbour cost below, specialised to one (phy, channel):
+(** The per-neighbour cost above, specialised to one (phy, channel):
     the constants [noise_power·γ_th] and ln(1/(1−ε)) are computed once,
-    and every cost is the same float expression {!neighbour_cost}
-    evaluates. *)
+    so every kernel below prices a distance with the same float
+    expression. *)
 
 val pricing : phy:Phy.t -> channel:Tveg.channel -> pricing
+
+type work
+(** The kernels' own buffers: the served neighbours' unclamped costs
+    and the sweep's event and piece tables. *)
 
 type scratch = private {
   mutable level_cost : float array;
       (** Level k's cost, clamped to ≥ w_min, for k below the level
-          count {!fill} returned. *)
+          count last written. *)
   mutable level_start : int array;
       (** Level k's fresh neighbours are [ids.(level_start.(k))] up to
           [ids.(level_start.(k+1) - 1)], ascending id; the entry at the
           level count is the number of neighbours served. *)
   mutable ids : int array;  (** The served neighbours, in (cost, id) order. *)
-  mutable raw_cost : float array;  (** Their unclamped costs, same order. *)
+  work : work;
 }
-(** Caller-owned working arrays of {!fill}, grown on demand and
-    overwritten by every call.  Give each domain its own: the pool runs
-    DCS queries concurrently. *)
+(** Caller-owned working arrays of the DCS kernels, grown on demand,
+    reused across nodes and overwritten by every query.  Give each
+    domain its own: the pool runs DCS queries concurrently. *)
 
 val scratch : unit -> scratch
 (** An empty scratch. *)
 
-val fill : scratch -> Tveg.t -> pricing -> node:int -> time:float -> int
-(** The DCS kernel, without a list: the ρ_τ-live neighbours of [node]
-    at [time] whose cost is at most [w_max], sorted by (cost, id) into
-    the scratch, equal costs merged into one level.  Returns the number
-    of levels.  Counts one [dcs.queries].  O(deg · log deg). *)
+val sweep : scratch -> Tveg.t -> pricing -> node:int -> float -> int
+(** [sweep s g pr ~node] prepares one node's contact-event sweep and
+    returns [next]: [next time] writes into [s] the levels of [node]
+    at [time] — the ρ_τ-live neighbours whose cost is at most [w_max],
+    sorted by (cost, id), equal costs merged into one level — and
+    returns the number of levels, the same levels {!marginals_at}
+    lists.  Counts one [dcs.queries] per [next].  Successive times
+    must not decrease, and [next] is valid until the next sweep on
+    [s].
+    Preparing prices each live piece of {!Tveg.iter_live_spans} once
+    and sorts its insert and remove events, O(E log E) for E pieces;
+    each [next] applies the events due since the previous time to the
+    live list, which it keeps sorted in place in [ids], and rereads
+    its levels, O(live) plus O(live) per event.
+    @raise Invalid_argument when [time] precedes the previous one. *)
+
+val marginals : scratch -> int -> marginal list
+(** The given number of levels last written into the scratch, as a
+    list. *)
 
 val at :
   Tveg.t -> phy:Phy.t -> channel:Tveg.channel -> node:int -> time:float -> level list
 (** Increasing-cost levels; levels whose cost exceeds [w_max] are
     dropped (those neighbours are unreachable in one hop at this
-    time).  Equal-cost neighbours share a level.  A list view of
-    {!fill}. *)
+    time).  Equal-cost neighbours share a level.  The prefix unions of
+    {!marginals_at}. *)
 
 val marginals_at :
   Tveg.t -> phy:Phy.t -> channel:Tveg.channel -> node:int -> time:float -> marginal list
 (** Same levels as {!at} but carrying only each level's newly covered
-    neighbours: {!fill}'s levels as a list. *)
-
-val neighbour_cost : phy:Phy.t -> channel:Tveg.channel -> dist:float -> float
-(** The per-neighbour cost described above. *)
+    neighbours: the point kernel, which prices every live neighbour of
+    [node] at [time] and sorts them, O(deg · log deg), and counts one
+    [dcs.queries]. *)
 
 val equal_marginal : marginal -> marginal -> bool
 (** Same cost and the same fresh neighbours. *)
@@ -76,11 +93,8 @@ val equal_marginal : marginal -> marginal -> bool
 val level_stats : marginal list -> int * int
 (** [(levels, covered)]: the number of levels and the total neighbours
     covered across them — one (node, time) block's vertex and
-    coverage-edge counts in the auxiliary graph, shared by the one-shot
-    sizing pass and the deadline-shared solve state. *)
-
-val min_cost_level : level list -> level option
-(** First (cheapest) level, if any. *)
+    coverage-edge counts in the auxiliary graph, as the deadline-shared
+    solve state sizes its layouts. *)
 
 val level_covering : level list -> k:int -> level option
 (** Cheapest level covering at least [k] neighbours. *)

@@ -230,6 +230,17 @@ let iter_neighbors_at t i time f =
     if s >= 0 then f adj.(k) p.segs.(s).dist
   done
 
+let iter_live_spans t i f =
+  let adj = t.adj.(i) and pairs = t.pairs.(i) in
+  for k = 0 to Array.length adj - 1 do
+    let p = pairs.(k) in
+    Array.iteri
+      (fun s l ->
+        let lo = l.iv.Interval.lo and run_hi = p.run_hi.(s) in
+        if lo +. t.tau < run_hi then f adj.(k) lo l.iv.Interval.hi run_hi l.dist)
+      p.segs
+  done
+
 let neighbors_at t i time =
   let acc = ref [] in
   iter_neighbors_at t i time (fun j d -> acc := (j, d) :: !acc);

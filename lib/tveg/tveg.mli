@@ -14,8 +14,8 @@
     touching pieces.  A link is live at [t] when [t] lies in a piece
     and the piece's run reaches past [t + τ]; its distance is the
     piece's.  Every query below — {!rho_tau}, {!dist_at},
-    {!iter_neighbors_at}, {!earliest_departure}, {!earliest_arrival} —
-    reads the store this one way. *)
+    {!iter_neighbors_at}, {!iter_live_spans}, {!earliest_departure},
+    {!earliest_arrival} — reads the store this one way. *)
 
 open Tmedb_prelude
 
@@ -70,6 +70,18 @@ val iter_neighbors_at : t -> int -> float -> (int -> float -> unit) -> unit
     [j] with ρ_τ = 1 at [t] and its {!dist_at}, ascending node id,
     without building a list.  O(deg(i) · log L) — only nodes sharing
     a contact with [i] are examined, not all N. *)
+
+val iter_live_spans : t -> int -> (int -> float -> float -> float -> float -> unit) -> unit
+(** [iter_live_spans g i f] calls [f j lo hi run_hi dist] for every
+    canonical piece [\[lo, hi)] of every pair (i, j) that is live at
+    [lo], ascending [j] then [lo], with [run_hi] the end of its run
+    and [dist] its distance.  Under the one contact rule the piece is
+    live at exactly the instants [t] of [\[lo, hi)] with
+    [t +. τ < run_hi]: its live window ends at [hi] when
+    [hi +. τ < run_hi] (the next piece of its run is live from its
+    start) and otherwise at the first [t] with [t +. τ >= run_hi].
+    A piece not live at [lo] is live nowhere and is skipped.
+    O(pieces of [i]). *)
 
 val neighbors_at : t -> int -> float -> (int * float) list
 (** The (neighbour, distance) pairs {!iter_neighbors_at} visits, in

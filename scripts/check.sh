@@ -202,6 +202,14 @@ printf '# tmedb-trace n=3 span=0,10 junk\n0,1,0,10,10\n' > "$tt3"
 printf '# tmedb-trace n=3 span=0,10\n0,1,0,10,10\n# tmedb-trace n=3 span=0,10\n' > "$tt4"
 expect_exit2 stats "$tt3"
 expect_exit2 stats "$tt4"
+# Generator boundary: too few nodes and a horizon that is not positive
+# and finite exit 2 (a NaN or infinite horizon used to never return).
+for kind in haggle mobility; do
+  expect_exit2 gen --kind "$kind" --nodes 1 -o "$tt3"
+  expect_exit2 gen --kind "$kind" --horizon 0 -o "$tt3"
+  expect_exit2 gen --kind "$kind" --horizon nan -o "$tt3"
+  expect_exit2 gen --kind "$kind" --horizon inf -o "$tt3"
+done
 
 # Bench gates at quick scale: shared == independent point lists and
 # sublinear reuse counters (bench exits non-zero on either), with the

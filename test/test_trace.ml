@@ -291,6 +291,16 @@ let test_synth_validation () =
   Alcotest.check_raises "n too small" (Invalid_argument "Synth.generate: need n >= 2") (fun () ->
       ignore (Synth.generate (Rng.create 0) { Synth.default_params with Synth.n = 1 }))
 
+(* A NaN horizon used to spin the renewal loop forever, an infinite one
+   to grow the contact list without bound. *)
+let test_synth_nonfinite_horizon () =
+  List.iter
+    (fun horizon ->
+      Alcotest.check_raises (Printf.sprintf "horizon %g" horizon)
+        (Invalid_argument "Synth.generate: horizon not positive and finite") (fun () ->
+          ignore (Synth.generate (Rng.create 0) { Synth.default_params with Synth.horizon })))
+    [ Float.nan; Float.infinity ]
+
 (* ------------------------------------------------------------------ *)
 (* Mobility *)
 
@@ -324,6 +334,16 @@ let test_mobility_produces_contacts () =
   let p = { Mobility.default_params with Mobility.n = 8; arena = 100.; horizon = 2000. } in
   let t = Mobility.generate (Rng.create 12) p in
   check_bool "has contacts" true (Trace.num_contacts t > 0)
+
+(* Either non-finite horizon used to grow the trajectories without
+   bound. *)
+let test_mobility_nonfinite_horizon () =
+  List.iter
+    (fun horizon ->
+      Alcotest.check_raises (Printf.sprintf "horizon %g" horizon)
+        (Invalid_argument "Mobility.generate: bad horizon/arena") (fun () ->
+          ignore (Mobility.generate (Rng.create 0) { Mobility.default_params with Mobility.horizon })))
+    [ Float.nan; Float.infinity ]
 
 let test_mobility_validation () =
   Alcotest.check_raises "range vs arena" (Invalid_argument "Mobility.generate: bad range")
@@ -387,6 +407,7 @@ let () =
           tc "ramp profile" test_synth_ramp_profile;
           tc "ramp raises degree" test_synth_ramp_raises_late_degree;
           tc "validation" test_synth_validation;
+          tc "non-finite horizon" test_synth_nonfinite_horizon;
         ] );
       ( "mobility",
         [
@@ -395,5 +416,6 @@ let () =
           tc "positions in arena" test_mobility_positions_in_arena;
           tc "produces contacts" test_mobility_produces_contacts;
           tc "validation" test_mobility_validation;
+          tc "non-finite horizon" test_mobility_nonfinite_horizon;
         ] );
     ]

@@ -776,6 +776,116 @@ let prop_dcs_kernel_matches_reference =
             [ 0.; 1.5; 3.; 4.5; 6.; 7.5; 9. ])
         (List.init (min n 4) (fun i -> i)))
 
+(* The sweep's levels, read straight from the scratch, against the
+   point kernel's list at one instant: level count, costs bit for bit,
+   level starts and the served ids. *)
+let sweep_step_matches sc levels expected =
+  let costs = List.init levels (fun k -> Printf.sprintf "%h" sc.Dcs.level_cost.(k)) in
+  let starts = List.init (levels + 1) (fun k -> sc.Dcs.level_start.(k)) in
+  let ids = List.init sc.Dcs.level_start.(levels) (fun q -> sc.Dcs.ids.(q)) in
+  let expected_starts =
+    List.fold_left
+      (fun acc m -> (List.hd acc + List.length m.Dcs.fresh) :: acc)
+      [ 0 ] expected
+    |> List.rev
+  in
+  levels = List.length expected
+  && costs = List.map (fun (m : Dcs.marginal) -> Printf.sprintf "%h" m.Dcs.cost) expected
+  && starts = expected_starts
+  && ids = List.concat_map (fun m -> m.Dcs.fresh) expected
+
+(* Every node of [g] swept, through one scratch, over its adjacent
+   partition points and their τ-shifts both ways, against
+   [Dcs.marginals_at] at each instant. *)
+let sweep_matches_point_kernel g ~phy ~channel =
+  let tau = Tveg.tau g and pricing = Dcs.pricing ~phy ~channel and sc = Dcs.scratch () in
+  List.for_all
+    (fun node ->
+      let times =
+        Array.to_list (Tveg.adjacent_partition g node)
+        |> List.concat_map (fun p -> [ p -. tau; p; p +. tau ])
+        |> List.sort_uniq Float.compare
+      in
+      let next = Dcs.sweep sc g pricing ~node in
+      List.for_all
+        (fun time ->
+          let levels = next time in
+          sweep_step_matches sc levels (Dcs.marginals_at g ~phy ~channel ~node ~time))
+        times)
+    (List.init (Tveg.n g) Fun.id)
+
+(* The sweep against the point kernel on two families of graphs.
+   Half-unit records ([half_unit_entries]) touch and overlap, with
+   τ ∈ {0, 0.5, 1, 2}; decimal records have endpoints k·0.1 and
+   τ ∈ {0.1, 0.3}, where t +. τ rounds, and distances from a small
+   set, so equal costs merge.  w_min and w_max sit at 3 m and 8 m, so
+   near neighbours clamp and far ones drop.  About one static or
+   Rayleigh graph in five also gives node 0 a two-piece run within
+   w_max to each of 69 or more nodes over the whole span: more than 64
+   served at once, each changing distance mid-run. *)
+let prop_dcs_sweep_matches_point_kernel =
+  QCheck.Test.make ~name:"sweep = point kernel" ~count:240 (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let channel = [| `Static; `Rayleigh; `Nakagami 2.; `Lognormal 1. |].(seed mod 4) in
+      let fast = seed mod 4 < 2 in
+      let decimal = seed / 4 mod 2 = 1 in
+      let wide = fast && seed / 8 mod 5 = 0 in
+      let n = if wide then 70 + Rng.int rng 20 else 2 + Rng.int rng 6 in
+      let tau =
+        if decimal then [| 0.1; 0.3 |].(seed / 40 mod 2) else [| 0.; 0.5; 1.; 2. |].(seed / 40 mod 4)
+      in
+      let dists = [| 2.; 3.; 5.; 8.; 13. |] and served = [| 2.; 3.; 5.; 8. |] in
+      let records =
+        if decimal then begin
+          let acc = ref [] in
+          for i = 0 to n - 2 do
+            for j = i + 1 to n - 1 do
+              for _ = 1 to Rng.int rng 4 do
+                let k = Rng.int rng 95 in
+                let k' = Int.min 100 (k + 1 + Rng.int rng 30) in
+                acc :=
+                  (i, j, link (float_of_int k *. 0.1) (float_of_int k' *. 0.1) (Rng.pick rng dists))
+                  :: !acc
+              done
+            done
+          done;
+          !acc
+        end
+        else half_unit_entries rng (Int.min n 8)
+      in
+      let spine =
+        if not wide then []
+        else
+          List.concat_map
+            (fun j ->
+              let s = 0.5 *. float_of_int (1 + Rng.int rng 19) in
+              [ (0, j, link 0. s (Rng.pick rng served)); (0, j, link s 10. (Rng.pick rng served)) ])
+            (List.init (n - 1) (fun j -> j + 1))
+      in
+      let g = Tveg.create ~n ~span:span10 ~tau (records @ spine) in
+      let cost d = Reference.neighbour_cost ~phy:Phy.default ~channel ~dist:d in
+      let phy = Phy.make ~w_min:(cost 3.) ~w_max:(cost 8.) () in
+      sweep_matches_point_kernel g ~phy ~channel)
+
+(* The float trap of the run-end threshold: with one piece
+   [0, 0.1 +. 0.2) and τ = 0.1, 0.2 +. 0.1 rounds up to the piece's
+   end, so no transmission started at 0.2 completes, although
+   0.2 < (0.1 +. 0.2) -. 0.1. *)
+let test_dcs_sweep_rounded_threshold () =
+  let g = Tveg.create ~n:2 ~span:span10 ~tau:0.1 [ (0, 1, link 0. (0.1 +. 0.2) 10.) ] in
+  let phy = Phy.default in
+  let sc = Dcs.scratch () in
+  let next = Dcs.sweep sc g (Dcs.pricing ~phy ~channel:`Static) ~node:0 in
+  check_bool "the subtraction says live" true (0.2 < (0.1 +. 0.2) -. 0.1);
+  check_int "live at 0.1" 1 (next 0.1);
+  check_bool "rho_tau at 0.2" false (Tveg.rho_tau g 0 1 0.2);
+  check_int "no neighbour at 0.2" 0 (next 0.2);
+  check_int "point kernel at 0.2" 0
+    (List.length (Dcs.marginals_at g ~phy ~channel:`Static ~node:0 ~time:0.2));
+  Alcotest.check_raises "time goes back"
+    (Invalid_argument "Dcs.sweep: time before the previous one") (fun () -> ignore (next 0.1))
+
 let prop_dts_points_in_range =
   QCheck.Test.make ~name:"DTS points within [span.lo, deadline]" ~count:50 QCheck.small_int
     (fun seed ->
@@ -1072,5 +1182,7 @@ let () =
           tc "level covering" test_dcs_level_covering;
           QCheck_alcotest.to_alcotest prop_dcs_nested;
           QCheck_alcotest.to_alcotest prop_dcs_kernel_matches_reference;
+          QCheck_alcotest.to_alcotest prop_dcs_sweep_matches_point_kernel;
+          tc "sweep rounded threshold" test_dcs_sweep_rounded_threshold;
         ] );
     ]
