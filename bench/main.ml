@@ -1110,7 +1110,7 @@ let all_figures config =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--jobs K] [--chunk K] [--metrics FILE] [--trace FILE] [--profile DIR] \
+    "usage: main.exe [--jobs K] [--metrics FILE] [--trace FILE] [--profile DIR] \
      [--threshold REL] [--speedup-floor F] \
      [quick|fig4a|fig4b|fig5a|fig5b|fig6a|fig6b|fig7a|fig7b|ablation|baseline|regress|obs|lint|nscale \
      [--quick]|pareto [--quick]|trend [--json]]";
@@ -1133,12 +1133,6 @@ let parse_args () =
     | "--jobs" | "-j" -> (
         match int_of_string_opt (file_arg ()) with
         | Some k when k >= 1 -> jobs_requested := Some k
-        | Some _ | None -> usage ())
-    | "--chunk" -> (
-        (* Fixed chunk size override, read by Pool.create below — the
-           same knob as setting TMEDB_CHUNK in the environment. *)
-        match int_of_string_opt (file_arg ()) with
-        | Some c when c >= 1 -> Unix.putenv "TMEDB_CHUNK" (string_of_int c)
         | Some _ | None -> usage ())
     | "--metrics" -> metrics_path := Some (file_arg ())
     | "--trace" -> trace_path := Some (file_arg ())

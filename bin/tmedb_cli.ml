@@ -165,12 +165,9 @@ let with_telemetry ?timestamp ?(watchdog = 0.) metrics trace profile f =
           end
           else f ()))
 
-(* 0 means "not given": fall back to the TMEDB_JOBS/core-count heuristic. *)
+(* 0 means "not given": fall back to the TMEDB_JOBS/core-count
+   heuristic.  [check_run_flags] has rejected negative values. *)
 let make_pool jobs =
-  if jobs < 0 then begin
-    Printf.eprintf "tmedb_cli: --jobs must be >= 0 (0 = auto)\n";
-    exit 2
-  end;
   let k = if jobs >= 1 then jobs else Pool.default_num_domains () in
   if k <= 1 then None else Some (Pool.create ~num_domains:k ())
 
@@ -213,6 +210,15 @@ let check_args cmd trace ?level ?trials ~source deadlines =
     source;
   Option.iter (fun l -> if l < 1 then fail "level %d is below 1" l) level;
   Option.iter (fun (k, least) -> if k < least then fail "trials %d is below %d" k least) trials
+
+(* The boundary check of the pool and watchdog flags, run before
+   [with_telemetry] arms anything: [--jobs] at least 0 (0 = auto) and
+   [--watchdog] 0 (off) or a positive finite number of seconds. *)
+let check_run_flags cmd ~jobs ~watchdog =
+  let fail fmt = arg_error cmd fmt in
+  if jobs < 0 then fail "--jobs %d is below 0 (0 = auto)" jobs;
+  if not (Float.equal watchdog 0. || (watchdog > 0. && Float.is_finite watchdog)) then
+    fail "--watchdog %g is not 0 (off) or a positive finite number of seconds" watchdog
 
 let pick_source trace deadline seed = function
   | Some s -> s
@@ -310,6 +316,7 @@ let run_cmd =
   in
   let run algorithm deadline source seed level verbose save metrics trace_file ledger ledger_ts
       profile watchdog trials jobs path =
+    check_run_flags "run" ~jobs ~watchdog;
     if ledger <> None then begin
       Tmedb_obs.set_enabled true;
       Tmedb_report.Provenance.set_enabled true
@@ -444,6 +451,7 @@ let compare_cmd =
              baseline), not just the paper's six.")
   in
   let run deadline source seed level trials jobs all metrics trace_file profile watchdog path =
+    check_run_flags "compare" ~jobs ~watchdog;
     with_telemetry ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
     check_args "compare" trace ~level ~trials:(trials, 1) ~source [ deadline ];
@@ -526,6 +534,7 @@ let simulate_cmd =
   in
   let run algorithm deadline source seed trials jobs schedule_file metrics trace_file profile
       watchdog path =
+    check_run_flags "simulate" ~jobs ~watchdog;
     with_telemetry ~watchdog metrics trace_file profile @@ fun () ->
     let trace = load_trace path in
     check_args "simulate" trace ~trials:(trials, 1) ~source [ deadline ];
@@ -603,6 +612,7 @@ let pareto_cmd =
   in
   let run algorithm deadlines deadline_list source seed level jobs metrics trace_file ledger
       ledger_ts profile watchdog path =
+    check_run_flags "pareto" ~jobs ~watchdog;
     let grid =
       match (deadlines, deadline_list) with
       | Some r, None -> Pareto.Grid.parse_range r

@@ -14,106 +14,94 @@ type report = {
   total_cost : float;
 }
 
-type event = { effective : float; node : int; factor : float }
+let replay (problem : Problem.t) ~ready ~hear ~receive ~fire txs =
+  let g = problem.Problem.graph in
+  let tau = Tveg.tau g in
+  (* Pending receive events in emission order, which is effective-time
+     order: transmissions are time-sorted and τ is constant.  A FIFO
+     keeps one node's factors multiplying in that order. *)
+  let pending = Queue.create () in
+  let rec apply_until t =
+    match Queue.peek_opt pending with
+    | Some (effective, node, factor) when effective <= t ->
+        ignore (Queue.pop pending);
+        receive node effective factor;
+        apply_until t
+    | Some _ | None -> ()
+  in
+  let transmit k =
+    let tx = txs.(k) in
+    fire k;
+    let effective = tx.Schedule.time +. tau in
+    Tveg.iter_neighbors_at g tx.Schedule.relay tx.Schedule.time (fun j dist ->
+        let factor = hear tx dist in
+        (* φ = 1 leaves p unchanged under Eq. 6. *)
+        if not (Float.equal factor 1.) then Queue.add (effective, j, factor) pending)
+  in
+  (* Same-instant transmissions may chain when τ = 0 (journeys only
+     require t_{l+1} >= t_l + τ): release in rounds, each firing every
+     waiting transmission whose relay is ready, until a round fires
+     none.  Returns the transmissions left waiting. *)
+  let rec release t waiting =
+    match List.partition (fun k -> ready txs.(k).Schedule.relay t) waiting with
+    | [], blocked -> blocked
+    | fired, blocked ->
+        List.iter transmit fired;
+        (* τ = 0 receive events land at this same instant. *)
+        if Float.equal tau 0. then apply_until t;
+        if blocked = [] then [] else release t blocked
+  in
+  let ntx = Array.length txs in
+  let rec walk lo unreleased =
+    if lo >= ntx then List.rev unreleased
+    else begin
+      let t = txs.(lo).Schedule.time in
+      let hi = ref (lo + 1) in
+      while !hi < ntx && Float.equal txs.(!hi).Schedule.time t do
+        incr hi
+      done;
+      apply_until t;
+      let blocked = release t (List.init (!hi - lo) (fun i -> lo + i)) in
+      walk !hi (List.rev_append blocked unreleased)
+    end
+  in
+  let unreleased = walk 0 [] in
+  apply_until problem.Problem.deadline;
+  unreleased
 
 let check (problem : Problem.t) schedule =
-  let g = problem.Problem.graph in
   let phy = problem.Problem.phy in
-  let n = Tveg.n g in
-  let tau = Tveg.tau g in
+  let n = Tveg.n problem.Problem.graph in
   let eps = phy.Phy.eps in
   let p = Array.make n 1. in
   let informed_time = Array.make n None in
   p.(problem.Problem.source) <- 0.;
   informed_time.(problem.Problem.source) <- Some (Problem.span_start problem);
-  (* Pending receive events, ordered by effective time (transmissions
-     are time-sorted and τ constant, so insertion order is sorted). *)
-  let pending = Queue.create () in
-  let apply_until t =
-    let rec drain () =
-      match Queue.peek_opt pending with
-      | Some ev when ev.effective <= t ->
-          ignore (Queue.pop pending);
-          p.(ev.node) <- p.(ev.node) *. ev.factor;
-          if p.(ev.node) <= eps && informed_time.(ev.node) = None then
-            informed_time.(ev.node) <- Some ev.effective;
-          drain ()
-      | Some _ | None -> ()
-    in
-    drain ()
+  let txs = Array.of_list (Schedule.transmissions schedule) in
+  let unreleased =
+    replay problem txs
+      ~ready:(fun relay _ -> p.(relay) <= eps)
+      ~hear:(fun tx dist ->
+        Ed_function.failure_prob
+          (Ed_function.of_distance phy problem.Problem.channel ~dist)
+          ~w:tx.Schedule.cost)
+      ~receive:(fun node effective factor ->
+        p.(node) <- p.(node) *. factor;
+        if p.(node) <= eps && informed_time.(node) = None then
+          informed_time.(node) <- Some effective)
+      ~fire:ignore
   in
-  let relays_informed = ref true in
-  let costs_in_range = ref true in
-  let process_tx tx =
-    let open Schedule in
-    if not (Phy.in_cost_set phy tx.cost) then costs_in_range := false;
-    for j = 0 to n - 1 do
-      if j <> tx.relay then begin
-        let ed = Tveg.ed_at g ~phy ~channel:problem.Problem.channel tx.relay j tx.time in
-        match ed with
-        | Ed_function.Absent -> ()
-        | Ed_function.Step _ | Ed_function.Rayleigh _ | Ed_function.Nakagami _
-        | Ed_function.Lognormal _ ->
-            let factor = Ed_function.failure_prob ed ~w:tx.cost in
-            Queue.add { effective = tx.time +. tau; node = j; factor } pending
-      end
-    done
-  in
-  (* Transmissions sharing an instant may chain when τ = 0 (journeys
-     only require t_{l+1} >= t_l + τ): process each same-time group to
-     a fixpoint, releasing a transmission once its relay is informed. *)
-  let same_time_groups txs =
-    let rec group acc current = function
-      | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-      | tx :: rest -> (
-          match current with
-          | [] -> group acc [ tx ] rest
-          | first :: _ ->
-              if Float.equal first.Schedule.time tx.Schedule.time then
-                group acc (tx :: current) rest
-              else group (List.rev current :: acc) [ tx ] rest)
-    in
-    group [] [] txs
-  in
-  List.iter
-    (fun group ->
-      match group with
-      | [] -> ()
-      | first :: _ ->
-          let t = first.Schedule.time in
-          apply_until t;
-          let waiting = ref group in
-          let progress = ref true in
-          while !waiting <> [] && !progress do
-            let ready, blocked =
-              List.partition (fun tx -> p.(tx.Schedule.relay) <= eps) !waiting
-            in
-            progress := ready <> [];
-            if ready <> [] then begin
-              List.iter process_tx ready;
-              (* τ = 0 receive events land at this same instant. *)
-              if Float.equal tau 0. then apply_until t
-            end;
-            waiting := blocked
-          done;
-          (* Leftovers transmit uninformed: condition (i) violated; the
-             cost is spent but nobody is informed by them. *)
-          if !waiting <> [] then begin
-            relays_informed := false;
-            List.iter
-              (fun tx ->
-                if not (Phy.in_cost_set phy tx.Schedule.cost) then costs_in_range := false)
-              !waiting
-          end)
-    (same_time_groups (Schedule.transmissions schedule));
-  apply_until problem.Problem.deadline;
+  (* Unreleased transmissions go out uninformed: condition (i) is
+     violated, their cost is spent and nobody is informed by them. *)
+  let relays_informed = unreleased = [] in
+  let costs_in_range = Array.for_all (fun tx -> Phy.in_cost_set phy tx.Schedule.cost) txs in
   let uninformed =
     List.filter (fun i -> p.(i) > eps) (List.init n (fun i -> i))
   in
   let within_deadline =
     match Schedule.latest_time schedule with
     | None -> true
-    | Some t -> t +. tau <= problem.Problem.deadline
+    | Some t -> t +. Tveg.tau problem.Problem.graph <= problem.Problem.deadline
   in
   let total_cost = Schedule.total_cost schedule in
   let within_budget =
@@ -121,12 +109,12 @@ let check (problem : Problem.t) schedule =
   in
   let all_informed = uninformed = [] in
   {
-    relays_informed = !relays_informed;
+    relays_informed;
     all_informed;
     within_deadline;
     within_budget;
-    costs_in_range = !costs_in_range;
-    feasible = !relays_informed && all_informed && within_deadline && within_budget && !costs_in_range;
+    costs_in_range;
+    feasible = relays_informed && all_informed && within_deadline && within_budget && costs_in_range;
     informed_time;
     uninformed;
     uninformed_probability = p;

@@ -23,10 +23,37 @@ type report = {
   total_cost : float;
 }
 
+val replay :
+  Problem.t ->
+  ready:(int -> float -> bool) ->
+  hear:(Schedule.transmission -> float -> float) ->
+  receive:(int -> float -> float -> unit) ->
+  fire:(int -> unit) ->
+  Schedule.transmission array ->
+  int list
+(** [replay problem ~ready ~hear ~receive ~fire txs] walks the
+    time-sorted transmissions [txs] causally under Equation (6), the
+    one walk behind {!check}, the Monte-Carlo trials of [Simulate] and
+    the firing order of [Fr].  At each distinct instant [t] it first
+    applies the receive events due by [t], then releases that instant's
+    transmissions in rounds: a round fires, in schedule order, every
+    waiting transmission whose relay satisfies [ready relay t] when the
+    round starts, and under τ = 0 the events it emitted are applied
+    before the next round.  Rounds stop when one fires nothing.  Firing transmission
+    [k] calls [fire k], then for each live neighbour [j] of its relay
+    (ascending id, {!Tveg.iter_neighbors_at}) queues the event
+    [(t + τ, j, hear txs.(k) dist)]; a factor of exactly 1 changes no
+    product and is not queued.  Events are applied by [receive j
+    effective factor] in emission order, which is effective-time
+    order.  After the last instant the events due by the deadline are
+    applied.  Returns the indices of the transmissions never released,
+    ascending. *)
+
 val check : Problem.t -> Schedule.t -> report
-(** Evolve node status under the schedule per Equation (6) and test the
-    four decision-problem conditions (plus the cost-range sanity
-    check). *)
+(** Evolve node status under the schedule per Equation (6) with
+    {!replay} and test the four decision-problem conditions (plus the
+    cost-range sanity check).  A relay is informed once its p ≤ ε; a
+    transmission never released violates (i). *)
 
 val informed_count : report -> int
 (** Nodes informed by the deadline (source included). *)

@@ -84,72 +84,27 @@ let constraint_value ~term ~log_eps c w =
    paper's "t_k ≤ t_j" read as a causal order, which is what keeps the
    NLP from relying on same-instant mutual coverage cycles. *)
 let firing_ranks (problem : Problem.t) arr =
-  let g = problem.Problem.graph in
   let phy = problem.Problem.phy in
-  let n = Tveg.n g in
-  let tau = Tveg.tau g in
   (* Backbone costs sit exactly on φ = ε; a hair of slack keeps float
      round-off from blocking a release (this only orders transmissions,
      the allocation itself carries its own safety margin). *)
   let eps = phy.Phy.eps *. (1. +. 1e-6) in
-  let ntx = Array.length arr in
-  let p = Array.make n 1. in
+  let p = Array.make (Tveg.n problem.Problem.graph) 1. in
   p.(problem.Problem.source) <- 0.;
-  let rank = Array.make ntx None in
+  let rank = Array.make (Array.length arr) None in
   let next_rank = ref 0 in
-  let pending = Queue.create () in
-  let apply_until t =
-    let rec drain () =
-      match Queue.peek_opt pending with
-      | Some (effective, node, factor) when effective <= t ->
-          ignore (Queue.pop pending);
-          p.(node) <- p.(node) *. factor;
-          drain ()
-      | Some _ | None -> ()
-    in
-    drain ()
+  let (_ : int list) =
+    Feasibility.replay problem arr
+      ~ready:(fun relay _ -> p.(relay) <= eps)
+      ~hear:(fun tx dist ->
+        Ed_function.failure_prob
+          (Ed_function.of_distance phy problem.Problem.channel ~dist)
+          ~w:tx.Schedule.cost)
+      ~receive:(fun node _ factor -> p.(node) <- p.(node) *. factor)
+      ~fire:(fun k ->
+        rank.(k) <- Some !next_rank;
+        incr next_rank)
   in
-  let fire k =
-    let tx = arr.(k) in
-    rank.(k) <- Some !next_rank;
-    incr next_rank;
-    for j = 0 to n - 1 do
-      if j <> tx.Schedule.relay then begin
-        match Tveg.ed_at g ~phy ~channel:problem.Problem.channel tx.Schedule.relay j tx.Schedule.time with
-        | Ed_function.Absent -> ()
-        | ed ->
-            Queue.add
-              (tx.Schedule.time +. tau, j, Ed_function.failure_prob ed ~w:tx.Schedule.cost)
-              pending
-      end
-    done
-  in
-  let rec groups = function
-    | [] -> []
-    | k :: _ as ks ->
-        let t = arr.(k).Schedule.time in
-        let same, rest = List.partition (fun k' -> Float.equal arr.(k').Schedule.time t) ks in
-        same :: groups rest
-  in
-  List.iter
-    (fun group ->
-      match group with
-      | [] -> ()
-      | first :: _ ->
-          let t = arr.(first).Schedule.time in
-          apply_until t;
-          let waiting = ref group in
-          let progress = ref true in
-          while !waiting <> [] && !progress do
-            let ready, blocked =
-              List.partition (fun k -> p.(arr.(k).Schedule.relay) <= eps) !waiting
-            in
-            progress := ready <> [];
-            List.iter fire ready;
-            if ready <> [] && Float.equal tau 0. then apply_until t;
-            waiting := blocked
-          done)
-    (groups (List.init ntx (fun k -> k)));
   rank
 
 let build_constraints problem txs =

@@ -19,18 +19,13 @@ module Ctx = struct
     rng : Rng.t option;
     steiner_level : int;
     cap_per_node : int option;
-    pool : Pool.t option;
-    provenance : bool;
     warm : Warm.t option;
     solve_state : Solve_state.t option;
   }
 
-  let make ?rng ?(steiner_level = 2) ?cap_per_node ?pool ?provenance ?warm
-      ?lazy_aux:(_ : bool option) ?solve_state () =
-    let provenance =
-      match provenance with Some p -> p | None -> Tmedb_report.Provenance.enabled ()
-    in
-    { rng; steiner_level; cap_per_node; pool; provenance; warm; solve_state }
+  let make ?rng ?(steiner_level = 2) ?cap_per_node ?warm ?lazy_aux:(_ : bool option)
+      ?solve_state () =
+    { rng; steiner_level; cap_per_node; warm; solve_state }
 
   let default () = make ()
   let rng_or ctx ~seed = match ctx.rng with Some rng -> rng | None -> Rng.create seed
@@ -117,7 +112,7 @@ let design_channel p : Tmedb_tveg.Tveg.channel =
 
 let run ?ctx p problem =
   let ctx = match ctx with Some c -> c | None -> Ctx.default () in
-  if ctx.Ctx.provenance then
+  if Tmedb_report.Provenance.enabled () then
     Tmedb_report.Provenance.emit
       (Tmedb_report.Provenance.Stage { stage = "planner"; detail = p.info.name });
   (* The profiler renders this frame as [planner.run:<name>], so every

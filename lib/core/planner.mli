@@ -60,11 +60,6 @@ module Ctx : sig
             default 2). *)
     cap_per_node : int option;
         (** Per-node DTS point cap ([None]: uncapped). *)
-    pool : Pool.t option;
-        (** Worker pool for a planner's internal fan-out, if any. *)
-    provenance : bool;
-        (** Whether to emit provenance events (defaults to the global
-            {!Tmedb_report.Provenance.enabled} flag at {!make} time). *)
     warm : Warm.t option;
         (** Warm-start store for the FR allocation ([None]: every
             allocation solves cold, the goldens' path). *)
@@ -83,8 +78,6 @@ module Ctx : sig
     ?rng:Rng.t ->
     ?steiner_level:int ->
     ?cap_per_node:int ->
-    ?pool:Pool.t ->
-    ?provenance:bool ->
     ?warm:Warm.t ->
     ?lazy_aux:bool ->
     ?solve_state:Solve_state.t ->
@@ -220,5 +213,5 @@ val design_channel : t -> Tmedb_tveg.Tveg.channel
 
 val run : ?ctx:Ctx.t -> t -> Problem.t -> Outcome.t
 (** [run ?ctx p problem] records one [Stage] provenance event naming
-    the selected planner (when provenance is enabled in [ctx]), then
-    plans.  [ctx] defaults to {!Ctx.default}[ ()]. *)
+    the selected planner (when {!Tmedb_report.Provenance.enabled}),
+    then plans.  [ctx] defaults to {!Ctx.default}[ ()]. *)

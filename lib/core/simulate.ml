@@ -11,8 +11,6 @@ type result = {
   mean_completion_time : float option;
 }
 
-type receive_event = { effective : float; node : int }
-
 (* Telemetry: [simulate.trials] counts executed trials (bumped on the
    running domain, so the total is pool-size independent); the timer
    wraps the whole fan-out including the statistics pass. *)
@@ -21,71 +19,30 @@ let c_runs = Tmedb_obs.Counter.make "simulate.runs"
 let t_run = Tmedb_obs.Timer.make "simulate.run"
 let h_trial_latency = Tmedb_obs.Histogram.make "simulate.trial_latency"
 
-let one_trial ~rng ~eval_channel problem schedule =
+(* One trial is the Eq. 6 replay with each link's φ drawn once: a
+   neighbour fails (factor 1) or receives (factor 0) by one Bernoulli
+   draw, in the replay's neighbour order. *)
+let one_trial ~rng ~eval_channel problem txs =
   Tmedb_obs.Counter.incr c_trials;
   (* Span (not just the counter) so pooled trials attribute to the
      submitting [simulate.run] in the profile at any --jobs. *)
   Tmedb_obs.Span.with_ "simulate.trial" @@ fun () ->
-  let g = problem.Problem.graph in
   let phy = problem.Problem.phy in
-  let n = Tveg.n g in
-  let tau = Tveg.tau g in
+  let n = Tveg.n problem.Problem.graph in
   let informed_at = Array.make n Float.infinity in
   informed_at.(problem.Problem.source) <- Problem.span_start problem;
-  let pending = Queue.create () in
-  let apply_until t =
-    let rec drain () =
-      match Queue.peek_opt pending with
-      | Some ev when ev.effective <= t ->
-          ignore (Queue.pop pending);
-          if ev.effective < informed_at.(ev.node) then informed_at.(ev.node) <- ev.effective;
-          drain ()
-      | Some _ | None -> ()
-    in
-    drain ()
-  in
   let energy = ref 0. in
-  let fire tx =
-    let open Schedule in
-    energy := !energy +. tx.cost;
-    List.iter
-      (fun (j, dist) ->
+  let (_ : int list) =
+    Feasibility.replay problem txs
+      ~ready:(fun relay t -> informed_at.(relay) <= t)
+      ~hear:(fun tx dist ->
         let ed = Ed_function.of_distance phy eval_channel ~dist in
-        let p_success = Ed_function.success_prob ed ~w:tx.cost in
-        if Dist.bernoulli rng ~p:p_success then
-          Queue.add { effective = tx.time +. tau; node = j } pending)
-      (Tveg.neighbors_at g tx.relay tx.time)
+        if Dist.bernoulli rng ~p:(Ed_function.success_prob ed ~w:tx.Schedule.cost) then 0.
+        else 1.)
+      ~receive:(fun node effective _ ->
+        if effective < informed_at.(node) then informed_at.(node) <- effective)
+      ~fire:(fun k -> energy := !energy +. txs.(k).Schedule.cost)
   in
-  (* Same-instant transmissions may chain under τ = 0; fixpoint per
-     time group, mirroring Feasibility.check. *)
-  let rec groups = function
-    | [] -> []
-    | tx :: _ as txs ->
-        let same, rest =
-          List.partition (fun t -> Float.equal t.Schedule.time tx.Schedule.time) txs
-        in
-        same :: groups rest
-  in
-  List.iter
-    (fun group ->
-      match group with
-      | [] -> ()
-      | first :: _ ->
-          let t = first.Schedule.time in
-          apply_until t;
-          let waiting = ref group in
-          let progress = ref true in
-          while !waiting <> [] && !progress do
-            let ready, blocked =
-              List.partition (fun tx -> informed_at.(tx.Schedule.relay) <= t) !waiting
-            in
-            progress := ready <> [];
-            List.iter fire ready;
-            if ready <> [] && Float.equal tau 0. then apply_until t;
-            waiting := blocked
-          done)
-    (groups (Schedule.transmissions schedule));
-  apply_until problem.Problem.deadline;
   let informed =
     Array.fold_left (fun acc t -> if Float.is_finite t then acc + 1 else acc) 0 informed_at
   in
@@ -113,10 +70,11 @@ let run ?(trials = 500) ?pool ~rng ~eval_channel problem schedule =
   for k = 0 to trials - 1 do
     rngs.(k) <- Rng.split rng
   done;
+  let txs = Array.of_list (Schedule.transmissions schedule) in
   let outcomes =
     (* Trials are sub-millisecond: chunk them so per-task queue traffic
        does not dominate. *)
-    Pool.map_chunked pool (fun r -> one_trial ~rng:r ~eval_channel problem schedule) rngs
+    Pool.map_chunked pool (fun r -> one_trial ~rng:r ~eval_channel problem txs) rngs
   in
   let deliveries = Array.make trials 0. in
   let energies = Array.make trials 0. in

@@ -2,7 +2,8 @@
    they are chunked onto scheduled jobs (so totals match at any pool
    size); batches count batch submissions, steals count takes from a
    deque the taker does not own, and chunk_size records the chunk the
-   adaptive heuristic (or an override) picked for each chunked batch. *)
+   adaptive heuristic (or an explicit [?chunk]) picked for each chunked
+   batch. *)
 let c_tasks = Tmedb_obs.Counter.make "pool.tasks"
 let c_batches = Tmedb_obs.Counter.make "pool.batches"
 let c_steals = Tmedb_obs.Counter.make "pool.steals"
@@ -120,7 +121,6 @@ type t = {
   epoch : int Atomic.t;  (* bumped on every submission; the wake signal *)
   stopping : bool Atomic.t;
   mutable domains : unit Domain.t list;
-  chunk_override : int option;  (* TMEDB_CHUNK, frozen at creation *)
   est_ns : int Atomic.t;  (* EWMA of observed per-element cost; 0 = unknown *)
   caller_minor : int option;  (* caller's minor heap before create enlarged it *)
 }
@@ -135,14 +135,6 @@ let default_num_domains () =
     | None -> Domain.recommended_domain_count ()
   in
   Stdlib.max 1 (Stdlib.min 128 requested)
-
-let default_chunk_override () =
-  match Sys.getenv_opt "TMEDB_CHUNK" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some c when c >= 1 -> Some c
-      | Some _ | None -> None)
-  | None -> None
 
 (* Every OCaml 5 minor collection is a stop-the-world handshake across
    all running domains, so with the stock 256k-word minor heap two
@@ -233,7 +225,6 @@ let create ?num_domains () =
       epoch = Atomic.make 0;
       stopping = Atomic.make false;
       domains = [];
-      chunk_override = default_chunk_override ();
       est_ns = Atomic.make 0;
       caller_minor = (if size > 1 then enlarge_minor_heap minor_heap_target_words else None);
     }
@@ -379,17 +370,14 @@ let note_cost t ~elements ~elapsed_ns =
   end
 
 let adaptive_chunk t n =
-  match t.chunk_override with
-  | Some c -> c
-  | None ->
-      let est = Atomic.get t.est_ns in
-      if est <= 0 then Stdlib.max 1 (n / (4 * t.size))
-      else if n * est < serial_cutoff_ns then n
-      else begin
-        let ideal = Stdlib.max 1 (target_ns / est) in
-        let balance_cap = Stdlib.max 1 ((n + (2 * t.size) - 1) / (2 * t.size)) in
-        Stdlib.min ideal balance_cap
-      end
+  let est = Atomic.get t.est_ns in
+  if est <= 0 then Stdlib.max 1 (n / (4 * t.size))
+  else if n * est < serial_cutoff_ns then n
+  else begin
+    let ideal = Stdlib.max 1 (target_ns / est) in
+    let balance_cap = Stdlib.max 1 ((n + (2 * t.size) - 1) / (2 * t.size)) in
+    Stdlib.min ideal balance_cap
+  end
 
 let parallel_map_chunked ?chunk t f a =
   let n = Array.length a in

@@ -16,10 +16,9 @@
     - Chunked maps size their chunks adaptively: each chunk measures
       its per-element cost into a per-pool estimate, and later batches
       aim for a few milliseconds of work per scheduled job (tiny
-      batches run inline on the caller).  The [TMEDB_CHUNK] environment
-      variable, read at {!create} time, pins the chunk size instead;
-      an explicit [?chunk] argument overrides both.  Chunk sizing only
-      steers scheduling — results never depend on it.
+      batches run inline on the caller); an explicit [?chunk] argument
+      pins the chunk size instead.  Chunk sizing only steers
+      scheduling — results never depend on it.
     - Nested use is safe: a task may call {!parallel_map} on the same
       pool.  The inner call's tasks are drained by the blocked caller
       (and any idle worker), so the pool never deadlocks.
@@ -50,10 +49,7 @@ val default_num_domains : unit -> int
 
 val create : ?num_domains:int -> unit -> t
 (** [create ()] sizes the pool with {!default_num_domains}.  The pool
-    holds [num_domains - 1] spawned domains until {!shutdown}.  The
-    [TMEDB_CHUNK] environment variable (a positive integer) is read
-    here and pins the chunk size of every {!parallel_map_chunked} call
-    that does not pass [?chunk] explicitly.
+    holds [num_domains - 1] spawned domains until {!shutdown}.
 
     Multi-domain pools also enlarge the minor heap of every
     participating domain to 1M words (8 MB; the caller's is restored
@@ -86,8 +82,7 @@ val parallel_map_chunked : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Like {!parallel_map} but one task per contiguous chunk of [chunk]
     elements, for cheap per-element work where per-task overhead would
     dominate.  [chunk] defaults to the adaptive heuristic (observed
-    per-element cost targeting a few ms per job; [TMEDB_CHUNK] pins it
-    instead when set).
+    per-element cost targeting a few ms per job).
     @raise Invalid_argument if [chunk < 1]. *)
 
 val parallel_init : t -> int -> (int -> 'a) -> 'a array

@@ -194,6 +194,16 @@ for cmd in compare simulate; do
   expect_exit2 "$cmd" --deadline 8 --trials=-3 "$tt"
 done
 expect_exit2 run --deadline 8 --trials=-3 "$tt"
+# Pool and watchdog flags: a negative --jobs, and a --watchdog that is
+# negative or not a number, exit 2 before anything is armed (they used
+# to run with the pool unused or the watchdog silently off).
+expect_exit2 run --deadline 8 --jobs=-1 "$tt"
+for cmd in run compare simulate; do
+  expect_exit2 "$cmd" --deadline 8 --watchdog=-1 "$tt"
+  expect_exit2 "$cmd" --deadline 8 --watchdog nan "$tt"
+done
+expect_exit2 pareto --deadline-list 2,8 --watchdog=-1 "$tt"
+expect_exit2 pareto --deadline-list 2,8 --watchdog nan "$tt"
 # CSV boundary: a header with trailing text, or a second header, is a
 # load error naming its line, not a silently accepted trace.
 tt3=$(mktemp); tt4=$(mktemp)

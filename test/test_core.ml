@@ -303,6 +303,211 @@ let test_dts_equivalence_perturbation () =
         (Dts.index_of_point dts t.Schedule.relay t.Schedule.time <> None))
     (Schedule.transmissions normalized)
 
+(* Random inputs for the replay reference properties.  Half-unit
+   contact records over [0, 10) make touching and overlapping records
+   of one pair common, τ ∈ {0, 0.5, 1}, and the channel is static or
+   Rayleigh.  The schedule is random, not planner output: a chain from
+   the source at one shared instant (relays that chain under τ = 0,
+   listed in ascending id whatever their causal order), later
+   transmissions by the source's receivers, random relays that are
+   often never informed, one transmission that ends exactly at the
+   deadline, and costs drawn below w_min, above w_max, at a link's
+   threshold or at zero. *)
+let replay_instance seed =
+  let rng = Rng.create seed in
+  let n = 2 + Rng.int rng 6 in
+  let tau = [| 0.; 0.5; 1. |].(seed mod 3) in
+  let channel = if seed / 3 mod 2 = 0 then `Static else `Rayleigh in
+  let phy = Phy.make ~w_min:(Phy.min_cost Phy.default ~dist:2.) () in
+  let entries = ref [] in
+  for i = 0 to n - 2 do
+    for j = i + 1 to n - 1 do
+      for _ = 1 to Rng.int rng 4 do
+        let lo = 0.5 *. float_of_int (Rng.int rng 19) in
+        let hi = Float.min 10. (lo +. (0.5 *. float_of_int (1 + Rng.int rng 6))) in
+        entries := (i, j, link lo hi (1. +. Rng.float rng 9.)) :: !entries
+      done
+    done
+  done;
+  let g = Tveg.create ~n ~span:(iv 0. 10.) ~tau (List.rev !entries) in
+  let deadline = 0.5 *. float_of_int (4 + Rng.int rng 17) in
+  let budget = if Rng.int rng 3 = 0 then Some (Rng.float rng (4. *. phy.Phy.w_max)) else None in
+  let source = Rng.int rng n in
+  let problem = Problem.make ?budget ~graph:g ~phy ~channel ~source ~deadline () in
+  let cost () =
+    match Rng.int rng 6 with
+    | 0 -> 0.
+    | 1 -> phy.Phy.w_min *. Rng.float rng 1.
+    | 2 -> phy.Phy.w_max *. (1. +. Rng.float rng 1.)
+    | 3 -> Phy.min_cost phy ~dist:(1. +. Rng.float rng 9.)
+    | _ -> Phy.fading_reference_cost phy ~dist:10.
+  in
+  let instant () = 0.5 *. float_of_int (Rng.int rng 21) in
+  let t0 = instant () in
+  let chain =
+    let rec grow relay k acc =
+      let acc = tx relay t0 (cost ()) :: acc in
+      match Tveg.neighbors_at g relay t0 with
+      | [] -> acc
+      | nbrs when k > 0 -> grow (fst (Rng.pick rng (Array.of_list nbrs))) (k - 1) acc
+      | _ -> acc
+    in
+    grow source (Rng.int rng 4) []
+  in
+  (* Later relays among the source's receivers, so which of them a
+     transmission informs decides who can forward. *)
+  let follow_ups =
+    List.filter_map
+      (fun (j, _) ->
+        if Rng.int rng 2 = 0 then None
+        else
+          Some (tx j (Float.min 10. (t0 +. tau +. (0.5 *. float_of_int (Rng.int rng 4)))) (cost ())))
+      (Tveg.neighbors_at g source t0)
+  in
+  let random_txs = List.init (Rng.int rng 6) (fun _ -> tx (Rng.int rng n) (instant ()) (cost ())) in
+  let at_deadline =
+    if deadline -. tau >= 0. then [ tx (Rng.int rng n) (deadline -. tau) (cost ()) ] else []
+  in
+  (problem, Schedule.of_transmissions (chain @ follow_ups @ random_txs @ at_deadline))
+
+(* [Feasibility.check] as it stood before the shared replay, kept
+   verbatim as the oracle: its own event queue, linear same-instant
+   grouping, fixpoint rounds and the dense Tveg.ed_at scan over all N
+   nodes per transmission. *)
+type reference_event = { effective : float; node : int; factor : float }
+
+let reference_check (problem : Problem.t) schedule =
+  let g = problem.Problem.graph in
+  let phy = problem.Problem.phy in
+  let n = Tveg.n g in
+  let tau = Tveg.tau g in
+  let eps = phy.Phy.eps in
+  let p = Array.make n 1. in
+  let informed_time = Array.make n None in
+  p.(problem.Problem.source) <- 0.;
+  informed_time.(problem.Problem.source) <- Some (Problem.span_start problem);
+  let pending = Queue.create () in
+  let apply_until t =
+    let rec drain () =
+      match Queue.peek_opt pending with
+      | Some ev when ev.effective <= t ->
+          ignore (Queue.pop pending);
+          p.(ev.node) <- p.(ev.node) *. ev.factor;
+          if p.(ev.node) <= eps && informed_time.(ev.node) = None then
+            informed_time.(ev.node) <- Some ev.effective;
+          drain ()
+      | Some _ | None -> ()
+    in
+    drain ()
+  in
+  let relays_informed = ref true in
+  let costs_in_range = ref true in
+  let process_tx tx =
+    let open Schedule in
+    if not (Phy.in_cost_set phy tx.cost) then costs_in_range := false;
+    for j = 0 to n - 1 do
+      if j <> tx.relay then begin
+        let ed = Tveg.ed_at g ~phy ~channel:problem.Problem.channel tx.relay j tx.time in
+        match ed with
+        | Ed_function.Absent -> ()
+        | Ed_function.Step _ | Ed_function.Rayleigh _ | Ed_function.Nakagami _
+        | Ed_function.Lognormal _ ->
+            let factor = Ed_function.failure_prob ed ~w:tx.cost in
+            Queue.add { effective = tx.time +. tau; node = j; factor } pending
+      end
+    done
+  in
+  let same_time_groups txs =
+    let rec group acc current = function
+      | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
+      | tx :: rest -> (
+          match current with
+          | [] -> group acc [ tx ] rest
+          | first :: _ ->
+              if Float.equal first.Schedule.time tx.Schedule.time then
+                group acc (tx :: current) rest
+              else group (List.rev current :: acc) [ tx ] rest)
+    in
+    group [] [] txs
+  in
+  List.iter
+    (fun group ->
+      match group with
+      | [] -> ()
+      | first :: _ ->
+          let t = first.Schedule.time in
+          apply_until t;
+          let waiting = ref group in
+          let progress = ref true in
+          while !waiting <> [] && !progress do
+            let ready, blocked =
+              List.partition (fun tx -> p.(tx.Schedule.relay) <= eps) !waiting
+            in
+            progress := ready <> [];
+            if ready <> [] then begin
+              List.iter process_tx ready;
+              if Float.equal tau 0. then apply_until t
+            end;
+            waiting := blocked
+          done;
+          if !waiting <> [] then begin
+            relays_informed := false;
+            List.iter
+              (fun tx ->
+                if not (Phy.in_cost_set phy tx.Schedule.cost) then costs_in_range := false)
+              !waiting
+          end)
+    (same_time_groups (Schedule.transmissions schedule));
+  apply_until problem.Problem.deadline;
+  let uninformed =
+    List.filter (fun i -> p.(i) > eps) (List.init n (fun i -> i))
+  in
+  let within_deadline =
+    match Schedule.latest_time schedule with
+    | None -> true
+    | Some t -> t +. tau <= problem.Problem.deadline
+  in
+  let total_cost = Schedule.total_cost schedule in
+  let within_budget =
+    match problem.Problem.budget with None -> true | Some c -> total_cost <= c
+  in
+  let all_informed = uninformed = [] in
+  {
+    Feasibility.relays_informed = !relays_informed;
+    all_informed;
+    within_deadline;
+    within_budget;
+    costs_in_range = !costs_in_range;
+    feasible = !relays_informed && all_informed && within_deadline && within_budget && !costs_in_range;
+    informed_time;
+    uninformed;
+    uninformed_probability = p;
+    total_cost;
+  }
+
+(* Every field of a report, floats by their exact bits. *)
+let report_bits (r : Feasibility.report) =
+  let floats a = String.concat ";" (List.map (Printf.sprintf "%h") (Array.to_list a)) in
+  Printf.sprintf "relays=%b all=%b deadline=%b budget=%b costs=%b feasible=%b informed=[%s] \
+                  uninformed=[%s] p=[%s] cost=%h"
+    r.Feasibility.relays_informed r.all_informed r.within_deadline r.within_budget
+    r.costs_in_range r.feasible
+    (String.concat ";"
+       (Array.to_list
+          (Array.map (function Some t -> Printf.sprintf "%h" t | None -> "-") r.informed_time)))
+    (String.concat ";" (List.map string_of_int r.uninformed))
+    (floats r.uninformed_probability) r.total_cost
+
+let prop_check_matches_reference =
+  QCheck.Test.make ~name:"check = pre-replay reference, bit for bit" ~count:300
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let problem, schedule = replay_instance seed in
+      let got = report_bits (Feasibility.check problem schedule) in
+      let want = report_bits (reference_check problem schedule) in
+      String.equal got want
+      || QCheck.Test.fail_reportf "seed %d@.check:     %s@.reference: %s" seed got want)
+
 (* ------------------------------------------------------------------ *)
 (* Aux graph *)
 
@@ -938,6 +1143,135 @@ let test_simulate_deterministic_in_seed () =
   let b = Simulate.run ~trials:100 ~rng:(Rng.create 6) ~eval_channel:`Rayleigh p s in
   close "same ratio" a.Simulate.delivery_ratio b.Simulate.delivery_ratio
 
+(* [Simulate.run]'s per-trial loop as it stood before the shared
+   replay, kept verbatim as the oracle (telemetry dropped), with the
+   same per-trial stream split and statistics. *)
+type reference_receive = { at : float; receiver : int }
+
+let reference_trial ~rng ~eval_channel (problem : Problem.t) schedule =
+  let g = problem.Problem.graph in
+  let phy = problem.Problem.phy in
+  let n = Tveg.n g in
+  let tau = Tveg.tau g in
+  let informed_at = Array.make n Float.infinity in
+  informed_at.(problem.Problem.source) <- Problem.span_start problem;
+  let pending = Queue.create () in
+  let apply_until t =
+    let rec drain () =
+      match Queue.peek_opt pending with
+      | Some ev when ev.at <= t ->
+          ignore (Queue.pop pending);
+          if ev.at < informed_at.(ev.receiver) then informed_at.(ev.receiver) <- ev.at;
+          drain ()
+      | Some _ | None -> ()
+    in
+    drain ()
+  in
+  let energy = ref 0. in
+  let fire tx =
+    let open Schedule in
+    energy := !energy +. tx.cost;
+    List.iter
+      (fun (j, dist) ->
+        let ed = Ed_function.of_distance phy eval_channel ~dist in
+        let p_success = Ed_function.success_prob ed ~w:tx.cost in
+        if Dist.bernoulli rng ~p:p_success then
+          Queue.add { at = tx.time +. tau; receiver = j } pending)
+      (Tveg.neighbors_at g tx.relay tx.time)
+  in
+  let rec groups = function
+    | [] -> []
+    | tx :: _ as txs ->
+        let same, rest =
+          List.partition (fun t -> Float.equal t.Schedule.time tx.Schedule.time) txs
+        in
+        same :: groups rest
+  in
+  List.iter
+    (fun group ->
+      match group with
+      | [] -> ()
+      | first :: _ ->
+          let t = first.Schedule.time in
+          apply_until t;
+          let waiting = ref group in
+          let progress = ref true in
+          while !waiting <> [] && !progress do
+            let ready, blocked =
+              List.partition (fun tx -> informed_at.(tx.Schedule.relay) <= t) !waiting
+            in
+            progress := ready <> [];
+            List.iter fire ready;
+            if ready <> [] && Float.equal tau 0. then apply_until t;
+            waiting := blocked
+          done)
+    (groups (Schedule.transmissions schedule));
+  apply_until problem.Problem.deadline;
+  let informed =
+    Array.fold_left (fun acc t -> if Float.is_finite t then acc + 1 else acc) 0 informed_at
+  in
+  let completion =
+    if informed = n then Some (Array.fold_left Float.max 0. informed_at) else None
+  in
+  (float_of_int informed /. float_of_int n, !energy, completion)
+
+let reference_simulate ~trials ~rng ~eval_channel problem schedule =
+  let rngs = Array.make trials rng in
+  for k = 0 to trials - 1 do
+    rngs.(k) <- Rng.split rng
+  done;
+  let outcomes = Array.map (fun r -> reference_trial ~rng:r ~eval_channel problem schedule) rngs in
+  let deliveries = Array.make trials 0. in
+  let energies = Array.make trials 0. in
+  let completions = ref [] in
+  let full = ref 0 in
+  for k = trials - 1 downto 0 do
+    let delivery, energy, completion = outcomes.(k) in
+    deliveries.(k) <- delivery;
+    energies.(k) <- energy;
+    match completion with
+    | Some t ->
+        incr full;
+        completions := t :: !completions
+    | None -> ()
+  done;
+  {
+    Simulate.trials;
+    delivery_ratio = Stats.mean deliveries;
+    delivery_stddev = Stats.stddev deliveries;
+    full_delivery_rate = float_of_int !full /. float_of_int trials;
+    mean_energy_spent = Stats.mean energies;
+    mean_completion_time =
+      (match !completions with
+      | [] -> None
+      | cs -> Some (Stats.mean (Array.of_list cs)));
+  }
+
+let simulate_bits (r : Simulate.result) =
+  Printf.sprintf "trials=%d delivery=%h stddev=%h full=%h energy=%h completion=%s"
+    r.Simulate.trials r.delivery_ratio r.delivery_stddev r.full_delivery_rate
+    r.mean_energy_spent
+    (match r.mean_completion_time with Some t -> Printf.sprintf "%h" t | None -> "-")
+
+(* The evaluation channel is Rayleigh for two seeds in three, so most
+   trials draw real coin flips in the replay's neighbour order. *)
+let prop_simulate_matches_reference =
+  QCheck.Test.make ~name:"run = pre-replay trial loop, bit for bit" ~count:150
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let problem, schedule = replay_instance seed in
+      let eval_channel = if seed mod 3 = 0 then `Static else `Rayleigh in
+      let got =
+        simulate_bits
+          (Simulate.run ~trials:20 ~rng:(Rng.create seed) ~eval_channel problem schedule)
+      in
+      let want =
+        simulate_bits
+          (reference_simulate ~trials:20 ~rng:(Rng.create seed) ~eval_channel problem schedule)
+      in
+      String.equal got want
+      || QCheck.Test.fail_reportf "seed %d@.run:       %s@.reference: %s" seed got want)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
@@ -1293,6 +1627,7 @@ let () =
           tc "fading accumulates" test_feasibility_fading_accumulates;
           tc "DTS equivalence (Thm 5.2)" test_dts_equivalence_perturbation;
           QCheck_alcotest.to_alcotest prop_et_law_on_random_instances;
+          QCheck_alcotest.to_alcotest prop_check_matches_reference;
         ] );
       ( "aux_graph",
         [
@@ -1364,6 +1699,7 @@ let () =
           tc "static suffers in fading" test_simulate_static_design_suffers_in_fading;
           tc "deterministic in seed" test_simulate_deterministic_in_seed;
           QCheck_alcotest.to_alcotest prop_static_simulation_matches_analytic;
+          QCheck_alcotest.to_alcotest prop_simulate_matches_reference;
         ] );
       ( "metrics",
         [
