@@ -185,7 +185,8 @@ let load_trace path =
 (* The boundary check of the planning subcommands, run on their
    arguments before any of them reaches a kernel: every deadline finite
    and inside the trace span (lo, hi], the source a node of the trace,
-   the Steiner level at least 1, the Monte-Carlo trial count [k] of
+   the Steiner level 1 or 2 (Dst's levels 3 and up are exponential and
+   kept for the tests only), the Monte-Carlo trial count [k] of
    [~trials:(k, least)] at least [least].  Bad input exits 2 with a
    readable message instead of an uncaught exception. *)
 let arg_error cmd fmt =
@@ -208,7 +209,11 @@ let check_args cmd trace ?level ?trials ~source deadlines =
   Option.iter
     (fun s -> if s < 0 || s >= n then fail "source %d is not a node of the trace [0, %d)" s n)
     source;
-  Option.iter (fun l -> if l < 1 then fail "level %d is below 1" l) level;
+  Option.iter
+    (fun l ->
+      if l < 1 then fail "level %d is below 1" l;
+      if l > 2 then fail "level %d is above 2" l)
+    level;
   Option.iter (fun (k, least) -> if k < least then fail "trials %d is below %d" k least) trials
 
 (* The boundary check of the pool and watchdog flags, run before

@@ -1,13 +1,17 @@
+open Tmedb_prelude
+
 type tree = { edges : (int * int * float) list; cost : float; covered : int list }
 type outcome = { tree : tree; uncovered : int list }
 
 (* Telemetry: [dst.expansions] counts greedy rounds that realized a
    candidate into the partial tree (the outer-loop work measure of the
    recursive-greedy algorithm); [dst.level2_scans] counts full
-   candidate-table sweeps. *)
+   candidate-table sweeps; [dst.tie_fallbacks] counts the terminals
+   whose exact reverse Dijkstra a next-hop tie had to run. *)
 let c_solves = Tmedb_obs.Counter.make "dst.solves"
 let c_expansions = Tmedb_obs.Counter.make "dst.expansions"
 let c_level2_scans = Tmedb_obs.Counter.make "dst.level2_scans"
+let c_tie_fallbacks = Tmedb_obs.Counter.make "dst.tie_fallbacks"
 let t_solve = Tmedb_obs.Timer.make "dst.solve"
 let t_terminal_maps = Tmedb_obs.Timer.make "dst.terminal_maps"
 let h_expansion_rounds = Tmedb_obs.Histogram.make "dst.expansion_rounds"
@@ -51,49 +55,230 @@ let tree_cost edges =
   in
   total
 
-(* Per-terminal reversed-graph Dijkstra: distances v -> terminal and
-   the next hop of v on a shortest such path. *)
+(* Every vertex's distance to each of the k terminals in one flat
+   table, [dist.(v * k + ti)], equal bit for bit to what a reverse
+   Dijkstra from terminal ti ([Dijkstra.run_view rev ~src]) computes.
+
+   The pass visits the forward graph's strongly connected components
+   sinks first (an iterative Tarjan), so every edge that leaves a
+   component lands in one whose distances are final.  A vertex starts
+   from the k-vector minimum of [d.(x) +. w] over its edges that leave
+   its component (a terminal's own entry is 0); a component of more
+   than one vertex is then settled by a FIFO label-correcting pass
+   over k-vectors along the [rev] edges that stay inside it (at worst
+   Bellman-Ford's bound, one round over the component's edges per
+   vertex in it).  On the auxiliary graph at tau = 0 the cycles stay
+   inside one instant, so sinks first is the time order and no
+   component spans two instants; the sizes and pop counts measured on
+   the benchmark graphs are in EXPERIMENTS.md ("One pass for the
+   terminal distances").
+
+   Why the distances are Dijkstra's, bit for bit.  Every entry is the
+   float sum of some path, added from the terminal outward as Dijkstra
+   adds ([d.(x) +. w]), and Dijkstra's value is at most any such sum
+   (by induction along the path: rounding is monotone).  At the
+   fixpoint every edge v -> x satisfies d(v) <= d(x) +. w, so by
+   induction along Dijkstra's own pred chain every entry is also at
+   most Dijkstra's value.  Hence the two are equal.
+
+   Why the next hops are Dijkstra's.  Dijkstra sets pred(v) only on a
+   strict improvement, so pred(v) is the first popped successor x that
+   achieves d(x) +. w = d(v).  Pops come in nondecreasing distance, so
+   an achiever with the unique smallest d(x) is popped first: that is
+   [next_hop]'s rule.  Only distinct achievers tied on that smallest
+   d(x) depend on the heap's operation order; for those the walk reads
+   the pred of the terminal's exact reverse Dijkstra, run once per
+   terminal on demand.  Parallel edges to one x are one successor, and
+   a self-loop never achieves (its relaxation is not strict). *)
 type terminal_maps = {
   ids : int array;  (* terminal vertex ids *)
-  dist : float array array;  (* dist.(ti).(v) *)
-  next : int array array;  (* next hop from v toward terminal ti *)
+  dist : float array;  (* dist.(v * k + ti): distance v -> terminal ti *)
+  rev : Digraph.view;
+  exact_pred : int array option array;  (* tie fallback: reverse Dijkstra preds *)
 }
 
-(* [targets] (the candidate intermediates, when restricted) bounds each
-   per-terminal Dijkstra: only candidate rows of the maps are ever
-   read, so the scan can stop once every candidate is settled.  [rev]
-   is the reversed graph as a view, so a lazily generated reverse
-   adjacency works. *)
-let build_terminal_maps ?targets ~rev terminals =
+let build_terminal_maps ~fwd ~rev terminals =
   let tm = Tmedb_obs.Timer.start t_terminal_maps in
   let ids = Array.of_list terminals in
-  let dist = Array.make (Array.length ids) [||] in
-  let next = Array.make (Array.length ids) [||] in
-  Array.iteri
-    (fun ti term ->
-      let r = Dijkstra.run_view ?targets rev ~src:term in
-      dist.(ti) <- r.Dijkstra.dist;
-      next.(ti) <- r.Dijkstra.pred)
-    ids;
+  let k = Array.length ids and nv = fwd.Digraph.nv in
+  let dist = Array.make (nv * k) Float.infinity in
+  Array.iteri (fun ti term -> dist.((term * k) + ti) <- 0.) ids;
+  (* Tarjan state: [comp.(v)] is v's component id once the component
+     is emitted, -1 before; emitted ids count up sinks first. *)
+  let index = Array.make nv (-1) and low = Array.make nv 0 and comp = Array.make nv (-1) in
+  let stack = Array.make nv 0 and sp = ref 0 and visited = ref 0 and ncomp = ref 0 in
+  (* DFS frames.  Frame f's vertex has its successors in slots
+     [fstart.(f), fend.(f)) of one buffer, the next unexplored at
+     [fpos.(f)]; a child's slots follow its parent's and are dropped
+     when the child closes. *)
+  let fv = Array.make nv 0 and fstart = Array.make nv 0 and fpos = Array.make nv 0 in
+  let fend = Array.make nv 0 and fsp = ref 0 in
+  let bx = ref (Array.make 256 0) and bw = ref (Array.make 256 0.) and blen = ref 0 in
+  let push_succ x w =
+    if !blen = Array.length !bx then begin
+      bx := Array.append !bx (Array.make !blen 0);
+      bw := Array.append !bw (Array.make !blen 0.)
+    end;
+    !bx.(!blen) <- x;
+    !bw.(!blen) <- w;
+    incr blen
+  in
+  let open_frame v =
+    index.(v) <- !visited;
+    low.(v) <- !visited;
+    incr visited;
+    stack.(!sp) <- v;
+    incr sp;
+    let f = !fsp in
+    fv.(f) <- v;
+    fstart.(f) <- !blen;
+    fpos.(f) <- !blen;
+    fwd.Digraph.iter_succ v push_succ;
+    fend.(f) <- !blen;
+    incr fsp
+  in
+  (* When v's frame closes, each successor is either emitted (final) or
+     in v's own component, still on the stack. *)
+  let relax_exits v f =
+    let bv = v * k in
+    for j = fstart.(f) to fend.(f) - 1 do
+      let x = !bx.(j) in
+      if comp.(x) >= 0 then begin
+        let w = !bw.(j) and bxk = x * k in
+        for ti = 0 to k - 1 do
+          let nd = dist.(bxk + ti) +. w in
+          if nd < dist.(bv + ti) then dist.(bv + ti) <- nd
+        done
+      end
+    done
+  in
+  (* FIFO label correcting inside component [!cur] (the vertices
+     [ring.(0 .. size-1)]): each vertex is queued at most once. *)
+  let queued = Bitset.create nv and ring = Array.make nv 0 in
+  let cur = ref (-1) and size = ref 0 and head = ref 0 and count = ref 0 and u = ref (-1) in
+  let relax x w =
+    if comp.(x) = !cur then begin
+      let bu = !u * k and bxk = x * k in
+      let improved = ref false in
+      for ti = 0 to k - 1 do
+        let nd = dist.(bu + ti) +. w in
+        if nd < dist.(bxk + ti) then begin
+          dist.(bxk + ti) <- nd;
+          improved := true
+        end
+      done;
+      if !improved && not (Bitset.mem queued x) then begin
+        Bitset.set queued x;
+        ring.((!head + !count) mod !size) <- x;
+        incr count
+      end
+    end
+  in
+  let settle lo =
+    size := !sp - lo;
+    Array.blit stack lo ring 0 !size;
+    for i = 0 to !size - 1 do
+      Bitset.set queued ring.(i)
+    done;
+    head := 0;
+    count := !size;
+    while !count > 0 do
+      u := ring.(!head);
+      head := (!head + 1) mod !size;
+      decr count;
+      Bitset.clear queued !u;
+      rev.Digraph.iter_succ !u relax
+    done
+  in
+  for s = 0 to nv - 1 do
+    if index.(s) < 0 then begin
+      open_frame s;
+      while !fsp > 0 do
+        let f = !fsp - 1 in
+        let v = fv.(f) in
+        if fpos.(f) < fend.(f) then begin
+          let x = !bx.(fpos.(f)) in
+          fpos.(f) <- fpos.(f) + 1;
+          if index.(x) < 0 then open_frame x
+          else if comp.(x) < 0 then low.(v) <- Int.min low.(v) index.(x)
+        end
+        else begin
+          relax_exits v f;
+          blen := fstart.(f);
+          decr fsp;
+          if !fsp > 0 then begin
+            let p = fv.(!fsp - 1) in
+            low.(p) <- Int.min low.(p) low.(v)
+          end;
+          if low.(v) = index.(v) then begin
+            let lo = ref (!sp - 1) in
+            while stack.(!lo) <> v do
+              decr lo
+            done;
+            cur := !ncomp;
+            incr ncomp;
+            for i = !lo to !sp - 1 do
+              comp.(stack.(i)) <- !cur
+            done;
+            if !sp - !lo > 1 then settle !lo;
+            sp := !lo
+          end
+        end
+      done
+    end
+  done;
   Tmedb_obs.Timer.stop t_terminal_maps tm;
-  { ids; dist; next }
+  { ids; dist; rev; exact_pred = Array.make k None }
 
-(* Edges of the shortest path v -> terminal ti, following next hops. *)
+(* The successor of [u] on its shortest path to terminal [ti] that the
+   terminal's reverse Dijkstra records (see the argument above). *)
+let next_hop fwd maps ~ti u =
+  let k = Array.length maps.ids in
+  let du = maps.dist.((u * k) + ti) in
+  let best = ref (-1) and best_d = ref Float.infinity and tied = ref false in
+  fwd.Digraph.iter_succ u (fun x w ->
+      let dx = maps.dist.((x * k) + ti) in
+      if x <> u && Float.equal (dx +. w) du then
+        if dx < !best_d then begin
+          best := x;
+          best_d := dx;
+          tied := false
+        end
+        else if Float.equal dx !best_d && x <> !best then tied := true);
+  if not !tied then !best
+  else begin
+    let pred =
+      match maps.exact_pred.(ti) with
+      | Some pred -> pred
+      | None ->
+          Tmedb_obs.Counter.incr c_tie_fallbacks;
+          let pred = (Dijkstra.run_view maps.rev ~src:maps.ids.(ti)).Dijkstra.pred in
+          maps.exact_pred.(ti) <- Some pred;
+          pred
+    in
+    pred.(u)
+  end
+
+(* Edges of the shortest path v -> terminal ti, following next hops.
+   A simple path has fewer than nv edges: a longer walk means a wrong
+   next-hop rule cycling on a zero-weight tie. *)
 let path_to_terminal fwd maps ~ti ~v =
   let term = maps.ids.(ti) in
-  let rec walk u acc =
+  let rec walk u steps acc =
     if u = term then List.rev acc
+    else if steps >= fwd.Digraph.nv then
+      invalid_arg "Dst: next-hop walk did not reach its terminal"
     else begin
-      let nxt = maps.next.(ti).(u) in
+      let nxt = next_hop fwd maps ~ti u in
       if nxt < 0 then List.rev acc (* v = term handled above; unreachable defended in callers *)
       else begin
         match Digraph.view_edge_weight fwd u nxt with
-        | Some w -> walk nxt ((u, nxt, w) :: acc)
+        | Some w -> walk nxt (steps + 1) ((u, nxt, w) :: acc)
         | None -> List.rev acc
       end
     end
   in
-  walk v []
+  walk v 0 []
 
 (* Per-vertex terminal distances in ascending (distance, terminal
    index) order: row v holds entries [v * k, v * k + k) of two flat
@@ -112,7 +297,7 @@ let build_table maps ~nv candidates =
          a strictly larger distance: the order [Array.sort compare]
          gives on the (distinct) pairs. *)
       for ti = 0 to k - 1 do
-        let d = maps.dist.(ti).(v) in
+        let d = maps.dist.(base + ti) in
         let j = ref (base + ti) in
         while !j > base && term_dist.(!j - 1) > d do
           term_dist.(!j) <- term_dist.(!j - 1);
@@ -301,7 +486,7 @@ let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
     (fun t -> if t < 0 || t >= nv then invalid_arg "Dst.solve: terminal out of range")
     terminals;
   let terminals = List.filter (fun t -> t <> root) (List.sort_uniq Int.compare terminals) in
-  (* Every Dijkstra stops once the candidates are settled.  Without a
+  (* The tree search stops once the candidates are settled.  Without a
      restriction there is no stop set at all: one over every vertex
      fires only when all are settled, after which every queued entry
      is stale, so the full drain is identical. *)
@@ -316,7 +501,7 @@ let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
         let cs = List.sort_uniq Int.compare ((root :: terminals) @ cs) in
         (Array.of_list cs, Some cs)
   in
-  let maps = build_terminal_maps ?targets ~rev terminals in
+  let maps = build_terminal_maps ~fwd ~rev terminals in
   let k = Array.length maps.ids in
   let table = build_table maps ~nv candidates in
   let remaining = Array.make k true in

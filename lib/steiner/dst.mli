@@ -12,7 +12,16 @@
     partial tree (multi-source Dijkstra) instead of the call root.
     Every candidate Charikar's analysis considers is still considered
     at no worse density, so the approximation guarantee is kept while
-    shared trunks are paid once. *)
+    shared trunks are paid once.
+
+    Every vertex's distance to each terminal comes from one pass over
+    the graph's strongly connected components, sinks first:
+    O(V + E·k) plus a label-correcting pass inside each component of
+    more than one vertex, at worst Bellman-Ford's bound on that
+    component.  Distances and next hops equal, bit for bit, those of a
+    reverse Dijkstra from each terminal (the argument is in dst.ml);
+    where two successors tie on a next hop, that terminal's reverse
+    Dijkstra is run once and decides. *)
 
 type tree = {
   edges : (int * int * float) list;  (** Deduplicated edge triples. *)
@@ -34,8 +43,8 @@ val solve :
     [candidates] restricts the intermediate vertices the greedy rounds
     may branch from (the root and terminals are always kept eligible).
     Paths realised by each pick still run through every vertex; the
-    restriction prunes the density scan, and every Dijkstra of the
-    solve stops once the candidates are settled.  No TMEDB planner
+    restriction prunes the density scan, and the tree search stops
+    once the candidates are settled.  No TMEDB planner
     passes it: [Eedcb] solves with every vertex a candidate, so its
     searches drain the whole graph.  Passing every vertex gives the
     same result as passing none. *)
@@ -53,8 +62,11 @@ val solve_views :
     edges, [rev] the reversed graph's.  The two views must describe
     the same edge set with matching deterministic orders — the solver
     is exactly {!solve} when both come from {!Digraph.view} of one
-    graph and its {!Digraph.reverse}.  With a lazy view only the
-    vertices the Dijkstra scans actually pop are ever expanded. *)
+    graph and its {!Digraph.reverse}.  [fwd] is read by every stage,
+    and the terminal-distance pass asks it for every vertex's
+    successors once.  [rev] is read for two things only: the
+    distance pass's relaxations inside a strongly connected component,
+    and the reverse Dijkstra of a terminal whose next hop is tied. *)
 
 val prune : Digraph.t -> root:int -> tree -> tree
 (** Restrict the tree to shortest paths (within the tree's own edges)

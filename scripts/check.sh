@@ -157,7 +157,7 @@ printf '%s\n' "$dout" | grep -q 'points\.6000\.energy' || {
   exit 1
 }
 # Argument boundary: a deadline outside the trace span (lo, hi] or not
-# finite, a source that is not a node and a Steiner level below 1 must
+# finite, a source that is not a node and a Steiner level outside 1-2 must
 # exit 2 with a message on every planning subcommand — never an
 # uncaught exception (exit 125).  $tt spans [0, 10] over 3 nodes; $tt2
 # starts at 100.
@@ -187,8 +187,10 @@ expect_exit2 pareto --deadline-list 2,8 --source 3 "$tt"
 for cmd in run compare; do
   expect_exit2 "$cmd" --deadline 8 --level 0 "$tt"
   expect_exit2 "$cmd" --deadline 8 --level=-1 "$tt"
+  expect_exit2 "$cmd" --deadline 8 --level 3 "$tt"
 done
 expect_exit2 pareto --deadline-list 2,8 --level 0 "$tt"
+expect_exit2 pareto --deadline-list 2,8 --level 3 "$tt"
 for cmd in compare simulate; do
   expect_exit2 "$cmd" --deadline 8 --trials 0 "$tt"
   expect_exit2 "$cmd" --deadline 8 --trials=-3 "$tt"

@@ -1336,7 +1336,8 @@ let test_metrics_latency () =
 (* Property: on random reachable instances EEDCB returns feasible
    schedules. *)
 let prop_eedcb_feasible_when_reachable =
-  QCheck.Test.make ~name:"EEDCB feasible on reachable instances" ~count:40 QCheck.small_int
+  QCheck.Test.make ~name:"EEDCB feasible on reachable instances" ~count:40
+    (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let p = random_instance seed in
       if not (Problem.is_reachable p) then true
@@ -1370,7 +1371,7 @@ let test_eedcb_beats_greedy_on_average () =
    the DTS. *)
 let prop_et_law_on_random_instances =
   QCheck.Test.make ~name:"ET-law normalisation preserves feasibility (Thm 5.2)" ~count:40
-    QCheck.small_int (fun seed ->
+    (QCheck.int_range 0 1_000_000) (fun seed ->
       let p = random_instance (seed + 2000) in
       if not (Problem.is_reachable p) then true
       else begin
@@ -1395,7 +1396,8 @@ let prop_et_law_on_random_instances =
 (* The Eq.-6 analytic delivery and the Monte-Carlo delivery agree under
    the static channel (both deterministic). *)
 let prop_static_simulation_matches_analytic =
-  QCheck.Test.make ~name:"static MC delivery = analytic delivery" ~count:25 QCheck.small_int
+  QCheck.Test.make ~name:"static MC delivery = analytic delivery" ~count:25
+    (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let p = random_instance (seed + 3000) in
       let r = run_greedy p in
@@ -1407,7 +1409,7 @@ let prop_static_simulation_matches_analytic =
 
 let prop_fr_allocation_feasible =
   QCheck.Test.make ~name:"FR allocation satisfies Eq. 6 when satisfiable" ~count:25
-    QCheck.small_int (fun seed ->
+    (QCheck.int_range 0 1_000_000) (fun seed ->
       let p = random_instance (seed + 900) in
       if not (Problem.is_reachable p) then true
       else begin

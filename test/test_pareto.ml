@@ -207,7 +207,7 @@ let test_incompatible_state_rejected () =
    such a node is sentinel-only there. *)
 let prop_dts_at_matches_clipped =
   QCheck.Test.make ~name:"dts_at = one-shot closure of the clipped instance" ~count:200
-    QCheck.small_int (fun seed ->
+    (QCheck.int_range 0 1_000_000) (fun seed ->
       let open Tmedb_tveg in
       let rng = Rng.create seed in
       let n = 3 + Rng.int rng 4 in

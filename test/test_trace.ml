@@ -356,7 +356,7 @@ let test_mobility_validation () =
    trip through CSV preserves counts). *)
 let prop_synth_csv_roundtrip =
   QCheck.Test.make ~name:"synthetic trace csv roundtrip" ~count:20
-    (QCheck.make QCheck.Gen.small_int) (fun seed ->
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000)) (fun seed ->
       let p = { Synth.default_params with Synth.n = 5; horizon = 2000. } in
       let t = Synth.generate (Rng.create seed) p in
       match Trace.of_csv (Trace.to_csv t) with

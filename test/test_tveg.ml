@@ -212,7 +212,8 @@ let check_store_against_model ~n ~tau ~model g =
   !ok
 
 let prop_contact_store_model =
-  QCheck.Test.make ~name:"contact store = naive scan over links" ~count:150 QCheck.small_int
+  QCheck.Test.make ~name:"contact store = naive scan over links" ~count:150
+    (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let n = 2 + Rng.int rng 5 in
@@ -320,7 +321,8 @@ let half_unit_entries rng n =
   List.rev !entries
 
 let prop_earliest_arrival_reference =
-  QCheck.Test.make ~name:"earliest arrival = naive relaxation" ~count:200 QCheck.small_int
+  QCheck.Test.make ~name:"earliest arrival = naive relaxation" ~count:200
+    (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let n = 1 + Rng.int rng 6 in
@@ -409,7 +411,7 @@ let test_tveg_deadline_tie () =
    complete schedule, at a cost no lower than the certified bound. *)
 let prop_planners_match_reachability =
   QCheck.Test.make ~name:"EEDCB/SPT complete iff every earliest arrival < T" ~count:400
-    QCheck.small_int (fun seed ->
+    (QCheck.int_range 0 1_000_000) (fun seed ->
       let rng = Rng.create seed in
       let n = 2 + Rng.int rng 5 in
       let tau = [| 0.; 0.5; 1.; 2. |].(seed mod 4) in
@@ -643,7 +645,8 @@ let test_dcs_level_covering () =
 (* Property 6.1 (broadcast nature) on random instances: every level's
    covered set contains the previous level's. *)
 let prop_dcs_nested =
-  QCheck.Test.make ~name:"DCS levels nested (Property 6.1)" ~count:100 QCheck.small_int
+  QCheck.Test.make ~name:"DCS levels nested (Property 6.1)" ~count:100
+    (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let n = 3 + Rng.int rng 5 in
@@ -732,7 +735,7 @@ end
    the whole span, so it serves more than 64, past the kernel's
    insertion-sort range. *)
 let prop_dcs_kernel_matches_reference =
-  QCheck.Test.make ~name:"kernel = list-sort reference" ~count:200 QCheck.small_int
+  QCheck.Test.make ~name:"kernel = list-sort reference" ~count:200 (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let channel =
@@ -887,7 +890,8 @@ let test_dcs_sweep_rounded_threshold () =
     (Invalid_argument "Dcs.sweep: time before the previous one") (fun () -> ignore (next 0.1))
 
 let prop_dts_points_in_range =
-  QCheck.Test.make ~name:"DTS points within [span.lo, deadline]" ~count:50 QCheck.small_int
+  QCheck.Test.make ~name:"DTS points within [span.lo, deadline]" ~count:50
+    (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create seed in
       let n = 3 + Rng.int rng 4 in
@@ -988,7 +992,7 @@ let test_stream_bad_deadline () =
    closure of the [0,T]-restricted graph, the endpoint itself
    included.  Three ascending deadlines per instance. *)
 let prop_stream_matches_eager ~name ~tau ~source =
-  QCheck.Test.make ~name ~count:50 QCheck.small_int (fun seed ->
+  QCheck.Test.make ~name ~count:50 (QCheck.int_range 0 1_000_000) (fun seed ->
       let rng = Rng.create seed in
       let n = 3 + Rng.int rng 4 in
       let entries = ref [] in

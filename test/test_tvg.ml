@@ -130,7 +130,8 @@ let random_graph seed =
   graph ~n !entries
 
 let prop_earliest_arrival_sound =
-  QCheck.Test.make ~name:"earliest arrival >= t0, source = t0" ~count:100 QCheck.small_int
+  QCheck.Test.make ~name:"earliest arrival >= t0, source = t0" ~count:100
+    (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let arr = Tveg.earliest_arrival (random_graph seed) ~src:0 ~t0:1. in
       arr.(0) = 1. && Array.for_all (fun a -> a >= 1.) arr)
@@ -162,7 +163,8 @@ let test_completion_time () =
     (Tmedb.Problem.completion_lower_bound (problem (sample ()) ~deadline:10.) = Float.infinity)
 
 let prop_reachability_monotone_deadline =
-  QCheck.Test.make ~name:"reachable set grows with deadline" ~count:100 QCheck.small_int
+  QCheck.Test.make ~name:"reachable set grows with deadline" ~count:100
+    (QCheck.int_range 0 1_000_000)
     (fun seed ->
       let g = random_graph seed in
       let late = reachable g ~deadline:9. in
