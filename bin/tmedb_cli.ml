@@ -261,14 +261,16 @@ let gen_cmd =
       arg_error "gen" "horizon %g is not positive and finite" horizon;
     let rng = Rng.create seed in
     let trace =
-      match kind with
-      | `Haggle ->
-          Tmedb_trace.Synth.generate rng
-            { (Tmedb_trace.Synth.with_n Tmedb_trace.Synth.default_params nodes) with
-              Tmedb_trace.Synth.horizon }
-      | `Mobility ->
-          Tmedb_trace.Mobility.generate rng
-            { Tmedb_trace.Mobility.default_params with Tmedb_trace.Mobility.n = nodes; horizon }
+      try
+        match kind with
+        | `Haggle ->
+            Tmedb_trace.Synth.generate rng
+              { (Tmedb_trace.Synth.with_n Tmedb_trace.Synth.default_params nodes) with
+                Tmedb_trace.Synth.horizon }
+        | `Mobility ->
+            Tmedb_trace.Mobility.generate rng
+              { Tmedb_trace.Mobility.default_params with Tmedb_trace.Mobility.n = nodes; horizon }
+      with Invalid_argument msg -> arg_error "gen" "%s" msg
     in
     Tmedb_trace.Trace.save trace ~path:out;
     Format.printf "wrote %a to %s@." Tmedb_trace.Trace.pp trace out

@@ -92,10 +92,14 @@ let reverse g =
   { n = g.n; row; dst; weight }
 
 let edge_weight g u v =
-  fold_succ g u
-    (fun acc dst w ->
-      if dst = v then Some (match acc with None -> w | Some best -> Float.min best w) else acc)
-    None
+  let best = ref Float.infinity and found = ref false in
+  for e = g.row.(u) to g.row.(u + 1) - 1 do
+    if g.dst.(e) = v then begin
+      best := if !found then Float.min !best g.weight.(e) else g.weight.(e);
+      found := true
+    end
+  done;
+  if !found then Some !best else None
 
 type view = { nv : int; iter_succ : int -> (int -> float -> unit) -> unit }
 

@@ -4,7 +4,17 @@
     traversed heavily by Dijkstra and the Steiner solver; CSR keeps
     traversal allocation-free. *)
 
-type t
+type t = private {
+  n : int;  (** Number of vertices. *)
+  row : int array;
+      (** [row.(u) .. row.(u+1) - 1] index u's edges in {!iter_succ}
+          order; [n + 1] entries. *)
+  dst : int array;  (** Edge heads; may carry spare capacity past [row.(n)]. *)
+  weight : float array;  (** Edge weights, indexed like [dst]. *)
+}
+(** Read-only CSR arrays, so that a hot loop can walk a vertex's edges
+    without a closure per edge (as [Dst]'s terminal pass does).  Only
+    this module builds values. *)
 
 val of_edges : n:int -> (int * int * float) list -> t
 (** Parallel edges are kept (harmless for shortest paths: the cheaper

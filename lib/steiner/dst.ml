@@ -5,12 +5,17 @@ type outcome = { tree : tree; uncovered : int list }
 
 (* Telemetry: [dst.expansions] counts greedy rounds that realized a
    candidate into the partial tree (the outer-loop work measure of the
-   recursive-greedy algorithm); [dst.level2_scans] counts full
-   candidate-table sweeps; [dst.tie_fallbacks] counts the terminals
-   whose exact reverse Dijkstra a next-hop tie had to run. *)
+   recursive-greedy algorithm); [dst.level2_scans] counts level-2
+   greedy rounds; [dst.density_evals] counts the exact density
+   evaluations those rounds made (each round's threshold vertex
+   included), and [dst.rows_sorted] the vertices whose terminal row was
+   sorted, once each, on first use; [dst.tie_fallbacks] counts the
+   terminals whose exact reverse Dijkstra a next-hop tie had to run. *)
 let c_solves = Tmedb_obs.Counter.make "dst.solves"
 let c_expansions = Tmedb_obs.Counter.make "dst.expansions"
 let c_level2_scans = Tmedb_obs.Counter.make "dst.level2_scans"
+let c_density_evals = Tmedb_obs.Counter.make "dst.density_evals"
+let c_rows_sorted = Tmedb_obs.Counter.make "dst.rows_sorted"
 let c_tie_fallbacks = Tmedb_obs.Counter.make "dst.tie_fallbacks"
 let t_solve = Tmedb_obs.Timer.make "dst.solve"
 let t_terminal_maps = Tmedb_obs.Timer.make "dst.terminal_maps"
@@ -37,8 +42,11 @@ module Edge_set = struct
       (fun (k1, _) (k2, _) -> Int.compare k1 k2)
       (Hashtbl.fold (fun key w acc -> (key, w) :: acc) t.table [])
 
-  let cost t = List.fold_left (fun acc (_, w) -> acc +. w) 0. (bindings t)
-  let to_list t = List.map (fun (key, w) -> (key / t.n, key mod t.n, w)) (bindings t)
+  (* The edges in key order and their cost, summed in that order. *)
+  let contents t =
+    let bs = bindings t in
+    ( List.map (fun (key, w) -> (key / t.n, key mod t.n, w)) bs,
+      List.fold_left (fun acc (_, w) -> acc +. w) 0. bs )
 end
 
 let tree_cost edges =
@@ -57,18 +65,19 @@ let tree_cost edges =
 
 (* Every vertex's distance to each of the k terminals in one flat
    table, [dist.(v * k + ti)], equal bit for bit to what a reverse
-   Dijkstra from terminal ti ([Dijkstra.run_view rev ~src]) computes.
+   Dijkstra from terminal ti ([Dijkstra.run rg ~src]) computes.
 
    The pass visits the forward graph's strongly connected components
-   sinks first (an iterative Tarjan), so every edge that leaves a
+   sinks first (an iterative Tarjan whose DFS frames each hold one
+   cursor into their vertex's CSR row), so every edge that leaves a
    component lands in one whose distances are final.  A vertex starts
    from the k-vector minimum of [d.(x) +. w] over its edges that leave
    its component (a terminal's own entry is 0); a component of more
    than one vertex is then settled by a FIFO label-correcting pass
-   over k-vectors along the [rev] edges that stay inside it (at worst
-   Bellman-Ford's bound, one round over the component's edges per
-   vertex in it).  On the auxiliary graph at tau = 0 the cycles stay
-   inside one instant, so sinks first is the time order and no
+   over k-vectors along the reversed edges that stay inside it (at
+   worst Bellman-Ford's bound, one round over the component's edges
+   per vertex in it).  On the auxiliary graph at tau = 0 the cycles
+   stay inside one instant, so sinks first is the time order and no
    component spans two instants; the sizes and pop counts measured on
    the benchmark graphs are in EXPERIMENTS.md ("One pass for the
    terminal distances").
@@ -91,60 +100,45 @@ let tree_cost edges =
    terminal on demand.  Parallel edges to one x are one successor, and
    a self-loop never achieves (its relaxation is not strict). *)
 type terminal_maps = {
+  g : Digraph.t;  (* the forward graph *)
+  rg : Digraph.t;  (* its reverse *)
   ids : int array;  (* terminal vertex ids *)
   dist : float array;  (* dist.(v * k + ti): distance v -> terminal ti *)
-  rev : Digraph.view;
   exact_pred : int array option array;  (* tie fallback: reverse Dijkstra preds *)
 }
 
-let build_terminal_maps ~fwd ~rev terminals =
+let build_terminal_maps g rg terminals =
   let tm = Tmedb_obs.Timer.start t_terminal_maps in
   let ids = Array.of_list terminals in
-  let k = Array.length ids and nv = fwd.Digraph.nv in
+  let k = Array.length ids and nv = Digraph.n g in
+  let row = g.Digraph.row and dst = g.Digraph.dst and weight = g.Digraph.weight in
   let dist = Array.make (nv * k) Float.infinity in
   Array.iteri (fun ti term -> dist.((term * k) + ti) <- 0.) ids;
   (* Tarjan state: [comp.(v)] is v's component id once the component
      is emitted, -1 before; emitted ids count up sinks first. *)
   let index = Array.make nv (-1) and low = Array.make nv 0 and comp = Array.make nv (-1) in
   let stack = Array.make nv 0 and sp = ref 0 and visited = ref 0 and ncomp = ref 0 in
-  (* DFS frames.  Frame f's vertex has its successors in slots
-     [fstart.(f), fend.(f)) of one buffer, the next unexplored at
-     [fpos.(f)]; a child's slots follow its parent's and are dropped
-     when the child closes. *)
-  let fv = Array.make nv 0 and fstart = Array.make nv 0 and fpos = Array.make nv 0 in
-  let fend = Array.make nv 0 and fsp = ref 0 in
-  let bx = ref (Array.make 256 0) and bw = ref (Array.make 256 0.) and blen = ref 0 in
-  let push_succ x w =
-    if !blen = Array.length !bx then begin
-      bx := Array.append !bx (Array.make !blen 0);
-      bw := Array.append !bw (Array.make !blen 0.)
-    end;
-    !bx.(!blen) <- x;
-    !bw.(!blen) <- w;
-    incr blen
-  in
+  (* DFS frames: frame f's vertex and the index of its next unexplored
+     edge in the CSR arrays. *)
+  let fv = Array.make nv 0 and fpos = Array.make nv 0 and fsp = ref 0 in
   let open_frame v =
     index.(v) <- !visited;
     low.(v) <- !visited;
     incr visited;
     stack.(!sp) <- v;
     incr sp;
-    let f = !fsp in
-    fv.(f) <- v;
-    fstart.(f) <- !blen;
-    fpos.(f) <- !blen;
-    fwd.Digraph.iter_succ v push_succ;
-    fend.(f) <- !blen;
+    fv.(!fsp) <- v;
+    fpos.(!fsp) <- row.(v);
     incr fsp
   in
   (* When v's frame closes, each successor is either emitted (final) or
      in v's own component, still on the stack. *)
-  let relax_exits v f =
+  let relax_exits v =
     let bv = v * k in
-    for j = fstart.(f) to fend.(f) - 1 do
-      let x = !bx.(j) in
+    for e = row.(v) to row.(v + 1) - 1 do
+      let x = dst.(e) in
       if comp.(x) >= 0 then begin
-        let w = !bw.(j) and bxk = x * k in
+        let w = weight.(e) and bxk = x * k in
         for ti = 0 to k - 1 do
           let nd = dist.(bxk + ti) +. w in
           if nd < dist.(bv + ti) then dist.(bv + ti) <- nd
@@ -152,42 +146,42 @@ let build_terminal_maps ~fwd ~rev terminals =
       end
     done
   in
-  (* FIFO label correcting inside component [!cur] (the vertices
-     [ring.(0 .. size-1)]): each vertex is queued at most once. *)
+  (* FIFO label correcting inside component [cur] (the vertices
+     [stack.(lo .. !sp-1)]): each vertex is queued at most once. *)
+  let rrow = rg.Digraph.row and rdst = rg.Digraph.dst and rweight = rg.Digraph.weight in
   let queued = Bitset.create nv and ring = Array.make nv 0 in
-  let cur = ref (-1) and size = ref 0 and head = ref 0 and count = ref 0 and u = ref (-1) in
-  let relax x w =
-    if comp.(x) = !cur then begin
-      let bu = !u * k and bxk = x * k in
-      let improved = ref false in
-      for ti = 0 to k - 1 do
-        let nd = dist.(bu + ti) +. w in
-        if nd < dist.(bxk + ti) then begin
-          dist.(bxk + ti) <- nd;
-          improved := true
-        end
-      done;
-      if !improved && not (Bitset.mem queued x) then begin
-        Bitset.set queued x;
-        ring.((!head + !count) mod !size) <- x;
-        incr count
-      end
-    end
-  in
-  let settle lo =
-    size := !sp - lo;
-    Array.blit stack lo ring 0 !size;
-    for i = 0 to !size - 1 do
+  let settle lo cur =
+    let size = !sp - lo in
+    Array.blit stack lo ring 0 size;
+    for i = 0 to size - 1 do
       Bitset.set queued ring.(i)
     done;
-    head := 0;
-    count := !size;
+    let head = ref 0 and count = ref size in
     while !count > 0 do
-      u := ring.(!head);
-      head := (!head + 1) mod !size;
+      let u = ring.(!head) in
+      head := (!head + 1) mod size;
       decr count;
-      Bitset.clear queued !u;
-      rev.Digraph.iter_succ !u relax
+      Bitset.clear queued u;
+      let bu = u * k in
+      for e = rrow.(u) to rrow.(u + 1) - 1 do
+        let x = rdst.(e) in
+        if comp.(x) = cur then begin
+          let w = rweight.(e) and bxk = x * k in
+          let improved = ref false in
+          for ti = 0 to k - 1 do
+            let nd = dist.(bu + ti) +. w in
+            if nd < dist.(bxk + ti) then begin
+              dist.(bxk + ti) <- nd;
+              improved := true
+            end
+          done;
+          if !improved && not (Bitset.mem queued x) then begin
+            Bitset.set queued x;
+            ring.((!head + !count) mod size) <- x;
+            incr count
+          end
+        end
+      done
     done
   in
   for s = 0 to nv - 1 do
@@ -195,16 +189,15 @@ let build_terminal_maps ~fwd ~rev terminals =
       open_frame s;
       while !fsp > 0 do
         let f = !fsp - 1 in
-        let v = fv.(f) in
-        if fpos.(f) < fend.(f) then begin
-          let x = !bx.(fpos.(f)) in
-          fpos.(f) <- fpos.(f) + 1;
+        let v = fv.(f) and e = fpos.(f) in
+        if e < row.(v + 1) then begin
+          fpos.(f) <- e + 1;
+          let x = dst.(e) in
           if index.(x) < 0 then open_frame x
           else if comp.(x) < 0 then low.(v) <- Int.min low.(v) index.(x)
         end
         else begin
-          relax_exits v f;
-          blen := fstart.(f);
+          relax_exits v;
           decr fsp;
           if !fsp > 0 then begin
             let p = fv.(!fsp - 1) in
@@ -215,12 +208,12 @@ let build_terminal_maps ~fwd ~rev terminals =
             while stack.(!lo) <> v do
               decr lo
             done;
-            cur := !ncomp;
+            let cur = !ncomp in
             incr ncomp;
             for i = !lo to !sp - 1 do
-              comp.(stack.(i)) <- !cur
+              comp.(stack.(i)) <- cur
             done;
-            if !sp - !lo > 1 then settle !lo;
+            if !sp - !lo > 1 then settle !lo cur;
             sp := !lo
           end
         end
@@ -228,23 +221,25 @@ let build_terminal_maps ~fwd ~rev terminals =
     end
   done;
   Tmedb_obs.Timer.stop t_terminal_maps tm;
-  { ids; dist; rev; exact_pred = Array.make k None }
+  { g; rg; ids; dist; exact_pred = Array.make k None }
 
 (* The successor of [u] on its shortest path to terminal [ti] that the
    terminal's reverse Dijkstra records (see the argument above). *)
-let next_hop fwd maps ~ti u =
-  let k = Array.length maps.ids in
-  let du = maps.dist.((u * k) + ti) in
+let next_hop maps ~ti u =
+  let k = Array.length maps.ids and g = maps.g and dist = maps.dist in
+  let du = dist.((u * k) + ti) in
   let best = ref (-1) and best_d = ref Float.infinity and tied = ref false in
-  fwd.Digraph.iter_succ u (fun x w ->
-      let dx = maps.dist.((x * k) + ti) in
-      if x <> u && Float.equal (dx +. w) du then
-        if dx < !best_d then begin
-          best := x;
-          best_d := dx;
-          tied := false
-        end
-        else if Float.equal dx !best_d && x <> !best then tied := true);
+  for e = g.Digraph.row.(u) to g.Digraph.row.(u + 1) - 1 do
+    let x = g.Digraph.dst.(e) in
+    let dx = dist.((x * k) + ti) in
+    if x <> u && Float.equal (dx +. g.Digraph.weight.(e)) du then
+      if dx < !best_d then begin
+        best := x;
+        best_d := dx;
+        tied := false
+      end
+      else if Float.equal dx !best_d && x <> !best then tied := true
+  done;
   if not !tied then !best
   else begin
     let pred =
@@ -252,7 +247,7 @@ let next_hop fwd maps ~ti u =
       | Some pred -> pred
       | None ->
           Tmedb_obs.Counter.incr c_tie_fallbacks;
-          let pred = (Dijkstra.run_view maps.rev ~src:maps.ids.(ti)).Dijkstra.pred in
+          let pred = (Dijkstra.run maps.rg ~src:maps.ids.(ti)).Dijkstra.pred in
           maps.exact_pred.(ti) <- Some pred;
           pred
     in
@@ -262,17 +257,16 @@ let next_hop fwd maps ~ti u =
 (* Edges of the shortest path v -> terminal ti, following next hops.
    A simple path has fewer than nv edges: a longer walk means a wrong
    next-hop rule cycling on a zero-weight tie. *)
-let path_to_terminal fwd maps ~ti ~v =
-  let term = maps.ids.(ti) in
+let path_to_terminal maps ~ti ~v =
+  let term = maps.ids.(ti) and nv = Digraph.n maps.g in
   let rec walk u steps acc =
     if u = term then List.rev acc
-    else if steps >= fwd.Digraph.nv then
-      invalid_arg "Dst: next-hop walk did not reach its terminal"
+    else if steps >= nv then invalid_arg "Dst: next-hop walk did not reach its terminal"
     else begin
-      let nxt = next_hop fwd maps ~ti u in
+      let nxt = next_hop maps ~ti u in
       if nxt < 0 then List.rev acc (* v = term handled above; unreachable defended in callers *)
       else begin
-        match Digraph.view_edge_weight fwd u nxt with
+        match Digraph.edge_weight maps.g u nxt with
         | Some w -> walk nxt (steps + 1) ((u, nxt, w) :: acc)
         | None -> List.rev acc
       end
@@ -280,45 +274,152 @@ let path_to_terminal fwd maps ~ti ~v =
   in
   walk v 0 []
 
-(* Per-vertex terminal distances in ascending (distance, terminal
-   index) order: row v holds entries [v * k, v * k + k) of two flat
-   unboxed arrays (this table dominates the level-2 scan's memory
-   traffic).  Only candidate vertices' rows are filled. *)
-type terminal_table = { k : int; term_dist : float array; term_id : int array }
+(* The greedy rounds' state for one solve.
 
-let build_table maps ~nv candidates =
-  let k = Array.length maps.ids in
-  let term_dist = Array.make (nv * k) 0. and term_id = Array.make (nv * k) 0 in
+   Rows.  A candidate's terminal row is its finite terminal distances
+   in ascending (distance, terminal index) order.  It is sorted the
+   first time a round or an A_1 pick reads it, into [pool]: the row of
+   v starts at [row_at.(v)] (-1 before) with its length, followed by
+   that many terminal indices; the distances stay in [maps.dist].
+
+   Keys.  A level-2 round picks the lexicographic minimum of (density,
+   candidate position, count) over every candidate u with a finite
+   tree distance du and every count c of u's nearest remaining
+   terminals, where the density is [(du +. d_1 +. ... +. d_c) /. c],
+   summed left to right along u's filtered row.  Each candidate carries
+   a key, a proven lower bound on its best density this round:
+
+   - Cached.  If u was evaluated earlier in the same level-2 call
+     ([stamp.(u) = epoch]) and du is bitwise the distance it had then
+     ([seen_du.(u)]), the key is the density found then.  Within one
+     call terminals only leave [remaining] and [need] only falls, so
+     the j-th entry of u's filtered row can only grow, and the counts
+     allowed are a subset of the earlier ones; float addition and
+     division are monotone in each operand, so every partial density
+     is at least the earlier one, and so is their minimum.  Another
+     call (a level >= 3 round runs one per vertex and count) brings
+     another root and remaining set: the epoch is bumped per call.
+   - Bound.  Otherwise the key is [raw *. shrink] with
+     [raw = du /. need +. dmin.(u)], dmin the smallest distance from u
+     to any terminal.  In reals, each density is >= du/c + dmin >=
+     du/need + dmin = R.  With unit roundoff eps = 2^-53, the c <= k
+     additions of non-negative terms and the division lose at most a
+     factor (1 - eps)^(k+1) >= 1 - (k+1) eps, while [raw] overshoots
+     R by at most (1 + eps)^2 and the product by (1 + eps) more;
+     [shrink = 1 - (k+8) 2^-52] rounds to at most 1 - (2k+15.5) eps,
+     so the key stays below R (1 - (2k+12) eps), under the computed
+     density.  Below 2^-1000 a density can be subnormal, where the
+     relative bound fails: the key is then 0.  (Above it, a subnormal
+     [du /. need] is off by at most 2^-1075, far inside the margin.)
+     A vertex with no finite terminal distance has an infinite key and
+     no density at all.
+
+   A round first evaluates the candidate with the smallest key (the
+   first one on a tie), whose density is the threshold.  It then walks
+   the candidates in position order and evaluates only those whose key
+   is <= the threshold and < the running best density, keeping a
+   candidate only on a strictly smaller density.  A skipped candidate
+   either has key > threshold >= the minimum, so its density cannot
+   reach the minimum, or key >= an earlier position's density, so it
+   cannot beat that position even on a tie.  A candidate whose key
+   equals the threshold must still be evaluated: it may tie with the
+   threshold vertex from an earlier position.  The pick is therefore
+   the same (density, position, count) minimum a full scan finds, and
+   the cached densities and counts are exact. *)
+type search = {
+  maps : terminal_maps;
+  k : int;
+  candidates : int array;
+  targets : int list option;  (* the tree search's stop set, when restricted *)
+  row_at : int array;
+  mutable pool : int array;
+  mutable pool_len : int;
+  dmin : float array;
+  shrink : float;
+  keys : float array;  (* by candidate position, rewritten every round *)
+  mutable epoch : int;
+  stamp : int array;
+  seen_du : float array;
+  density : float array;  (* best density and its count at the last evaluation *)
+  count : int array;
+  mutable evals : int;
+  mutable rows_sorted : int;
+}
+
+let make_search maps ~candidates ~targets =
+  let k = Array.length maps.ids and nv = Digraph.n maps.g in
+  let dmin = Array.make nv Float.infinity in
   Array.iter
-    (fun v ->
-      let base = v * k in
-      (* Insertion sort on (distance, terminal index).  Indices arrive
-         ascending, so a new entry moves past exactly the entries with
-         a strictly larger distance: the order [Array.sort compare]
-         gives on the (distinct) pairs. *)
+    (fun u ->
+      let m = ref Float.infinity in
       for ti = 0 to k - 1 do
-        let d = maps.dist.(base + ti) in
-        let j = ref (base + ti) in
-        while !j > base && term_dist.(!j - 1) > d do
-          term_dist.(!j) <- term_dist.(!j - 1);
-          term_id.(!j) <- term_id.(!j - 1);
+        let d = maps.dist.((u * k) + ti) in
+        if d < !m then m := d
+      done;
+      dmin.(u) <- !m)
+    candidates;
+  {
+    maps;
+    k;
+    candidates;
+    targets;
+    row_at = Array.make nv (-1);
+    pool = Array.make (Int.min nv 256 * (k + 1)) 0;
+    pool_len = 0;
+    dmin;
+    shrink = 1. -. (float_of_int (k + 8) *. epsilon_float);
+    keys = Array.make (Array.length candidates) Float.infinity;
+    epoch = 0;
+    stamp = Array.make nv 0;
+    seen_du = Array.make nv Float.nan;
+    density = Array.make nv Float.infinity;
+    count = Array.make nv 0;
+    evals = 0;
+    rows_sorted = 0;
+  }
+
+(* Offset of v's sorted row in [s.pool], sorting it on first use.
+   Insertion sort: indices arrive ascending, so an entry moves past
+   exactly those with a strictly larger distance. *)
+let sorted_row s v =
+  let at = s.row_at.(v) in
+  if at >= 0 then at
+  else begin
+    let k = s.k and off = s.pool_len in
+    if off + k + 1 > Array.length s.pool then
+      s.pool <- Array.append s.pool (Array.make (Int.max (Array.length s.pool) (k + 1)) 0);
+    let pool = s.pool and dist = s.maps.dist and base = v * k in
+    let len = ref 0 in
+    for ti = 0 to k - 1 do
+      let d = dist.(base + ti) in
+      if Float.is_finite d then begin
+        let j = ref (off + 1 + !len) in
+        while !j > off + 1 && dist.(base + pool.(!j - 1)) > d do
+          pool.(!j) <- pool.(!j - 1);
           decr j
         done;
-        term_dist.(!j) <- d;
-        term_id.(!j) <- ti
-      done)
-    candidates;
-  { k; term_dist; term_id }
+        pool.(!j) <- ti;
+        incr len
+      end
+    done;
+    pool.(off) <- !len;
+    s.pool_len <- off + 1 + !len;
+    s.row_at.(v) <- off;
+    s.rows_sorted <- s.rows_sorted + 1;
+    off
+  end
 
 type candidate = { cand_edges : (int * int * float) list; cand_cost : float; cand_terms : int list }
 
 (* A_1: shortest paths from v to the [need] nearest remaining terminals,
-   read off v's table row. *)
-let a1_candidate fwd maps ~table ~need ~v ~remaining =
-  let base = v * table.k in
+   read off v's sorted row. *)
+let a1_candidate s ~need ~v ~remaining =
+  let off = sorted_row s v in
+  let pool = s.pool in
+  let len = pool.(off) in
   let chosen = ref [] and taken = ref 0 and j = ref 0 in
-  while !taken < need && !j < table.k && Float.is_finite table.term_dist.(base + !j) do
-    let ti = table.term_id.(base + !j) in
+  while !taken < need && !j < len do
+    let ti = pool.(off + 1 + !j) in
     if remaining.(ti) then begin
       chosen := ti :: !chosen;
       incr taken
@@ -328,78 +429,121 @@ let a1_candidate fwd maps ~table ~need ~v ~remaining =
   let chosen = List.rev !chosen in
   if chosen = [] then None
   else begin
-    let set = Edge_set.create fwd.Digraph.nv in
-    List.iter (fun ti -> Edge_set.add_list set (path_to_terminal fwd maps ~ti ~v)) chosen;
-    Some { cand_edges = Edge_set.to_list set; cand_cost = Edge_set.cost set; cand_terms = chosen }
+    let set = Edge_set.create (Digraph.n s.maps.g) in
+    List.iter (fun ti -> Edge_set.add_list set (path_to_terminal s.maps ~ti ~v)) chosen;
+    let cand_edges, cand_cost = Edge_set.contents set in
+    Some { cand_edges; cand_cost; cand_terms = chosen }
   end
 
-(* Fast level-2 scan: for every candidate intermediate vertex u and
-   every count cnt <= need, the density of [path tree->u] + [A_1(cnt,
-   u)] using plain distance sums; returns the best (u, cnt). *)
-let scan_level2 ~candidates ~dist_v ~remaining ~need ~table =
+(* u's exact best density this round and the smallest count reaching
+   it, stored as u's cache entry for [epoch]. *)
+let evaluate s ~epoch ~remaining ~need u du =
+  s.evals <- s.evals + 1;
+  let off = sorted_row s u in
+  let pool = s.pool and dist = s.maps.dist and base = u * s.k in
+  let len = pool.(off) in
+  let sum = ref du and cnt = ref 0 and j = ref 0 in
+  let best = ref Float.infinity and best_cnt = ref 0 in
+  while !cnt < need && !j < len do
+    let ti = pool.(off + 1 + !j) in
+    if remaining.(ti) then begin
+      sum := !sum +. dist.(base + ti);
+      incr cnt;
+      let density = !sum /. float_of_int !cnt in
+      if density < !best then begin
+        best := density;
+        best_cnt := !cnt
+      end
+    end;
+    incr j
+  done;
+  s.stamp.(u) <- epoch;
+  s.seen_du.(u) <- du;
+  s.density.(u) <- !best;
+  s.count.(u) <- !best_cnt
+
+(* One level-2 round: the best (vertex, count) by density over the
+   candidates, evaluating only those the keys cannot rule out (see
+   [search]). *)
+let level2_round s ~epoch ~dist_v ~remaining ~need =
   Tmedb_obs.Counter.incr c_level2_scans;
-  let best_density = ref Float.infinity in
-  let best = ref None in
-  let ncand = Array.length candidates in
-  let k = table.k in
-  for c = 0 to ncand - 1 do
-    let u = candidates.(c) in
+  let cands = s.candidates and keys = s.keys in
+  let needf = float_of_int need and shrink = s.shrink in
+  let first = ref (-1) and first_key = ref Float.infinity in
+  for c = 0 to Array.length cands - 1 do
+    let u = cands.(c) in
     let du = dist_v.(u) in
-    if Float.is_finite du then begin
-      let base = u * k in
-      let sum = ref du in
-      let cnt = ref 0 in
-      let j = ref 0 in
-      let continue = ref true in
-      while !continue && !j < k do
-        let d = table.term_dist.(base + !j) in
-        if not (Float.is_finite d) then continue := false
-        else begin
-          if remaining.(table.term_id.(base + !j)) then begin
-            sum := !sum +. d;
-            incr cnt;
-            let density = !sum /. float_of_int !cnt in
-            if density < !best_density then begin
-              best_density := density;
-              best := Some (density, u, !cnt)
-            end;
-            if !cnt >= need then continue := false
-          end;
-          incr j
-        end
-      done
+    let key =
+      if not (Float.is_finite du) then Float.infinity
+      else if s.stamp.(u) = epoch && Float.equal s.seen_du.(u) du then s.density.(u)
+      else begin
+        let dmin = s.dmin.(u) in
+        let raw = (du /. needf) +. dmin in
+        if not (Float.is_finite dmin) then Float.infinity
+        else if raw >= 0x1p-1000 && Float.is_finite raw then raw *. shrink
+        else 0.
+      end
+    in
+    keys.(c) <- key;
+    if key < !first_key then begin
+      first := c;
+      first_key := key
     end
   done;
-  !best
+  if !first < 0 then None
+  else begin
+    let t = !first in
+    let tu = cands.(t) in
+    evaluate s ~epoch ~remaining ~need tu dist_v.(tu);
+    let threshold = s.density.(tu) in
+    let best = ref (-1) and best_density = ref Float.infinity in
+    for c = 0 to Array.length cands - 1 do
+      let key = keys.(c) in
+      if key <= threshold && key < !best_density then begin
+        let u = cands.(c) in
+        if c <> t then evaluate s ~epoch ~remaining ~need u dist_v.(u);
+        if s.density.(u) < !best_density then begin
+          best := u;
+          best_density := s.density.(u)
+        end
+      end
+    done;
+    if !best < 0 then None else Some (!best, s.count.(!best))
+  end
 
 (* Tree-growing recursive greedy: each round connects the best-density
    (intermediate vertex, terminal count) candidate to the *current*
    partial tree (multi-source Dijkstra), not only to the call root —
    a strict improvement over connecting every pick at [v] since merged
    path segments are paid once and inform later picks. *)
-let rec build_candidate fwd maps ~candidates ~targets ~table ~level ~need ~v ~remaining ~rounds =
-  if level <= 1 then a1_candidate fwd maps ~table ~need ~v ~remaining
+let rec build_candidate s ~level ~need ~v ~remaining ~rounds =
+  if level <= 1 then a1_candidate s ~need ~v ~remaining
   else begin
+    let g = s.maps.g and targets = s.targets in
+    let nv = Digraph.n g in
     let remaining = Array.copy remaining in
-    let set = Edge_set.create fwd.Digraph.nv in
-    let tree_members = Hashtbl.create 64 in
-    Hashtbl.replace tree_members v ();
+    (* A new call: no cached key of an earlier call holds here. *)
+    s.epoch <- s.epoch + 1;
+    let epoch = s.epoch in
+    let set = Edge_set.create nv in
+    let tree_members = Bitset.create nv in
+    Bitset.set tree_members v;
     let covered = ref [] in
     let still_needed = ref need in
     let progress = ref true in
     (* Distances from the growing tree, warm-restarted as members are
        added (distances only decrease).  Only candidate vertices are
-       ever read from this result (the scans and the connect walk), so
+       ever read from this result (the rounds and the connect walk), so
        the relaxation may stop once all candidates are settled. *)
-    let tree_dist = Dijkstra.run_multi_view fwd ~sources:[ v ] ?targets in
+    let tree_dist = Dijkstra.run_multi g ~sources:[ v ] ?targets in
     while !still_needed > 0 && !progress do
       let dist_v = tree_dist.Dijkstra.dist and pred_v = tree_dist.Dijkstra.pred in
       let pick =
         if level = 2 then begin
-          match scan_level2 ~candidates ~dist_v ~remaining ~need:!still_needed ~table with
+          match level2_round s ~epoch ~dist_v ~remaining ~need:!still_needed with
           | None -> None
-          | Some (_, u, cnt) -> (
-              match a1_candidate fwd maps ~table ~need:cnt ~v:u ~remaining with
+          | Some (u, cnt) -> (
+              match a1_candidate s ~need:cnt ~v:u ~remaining with
               | None -> None
               | Some sub -> Some (u, sub))
         end
@@ -411,8 +555,7 @@ let rec build_candidate fwd maps ~candidates ~targets ~table ~level ~need ~v ~re
               if Float.is_finite dist_v.(u) then
               for cnt = 1 to !still_needed do
                 match
-                  build_candidate fwd maps ~candidates ~targets ~table ~level:(level - 1)
-                    ~need:cnt ~v:u ~remaining ~rounds
+                  build_candidate s ~level:(level - 1) ~need:cnt ~v:u ~remaining ~rounds
                 with
                 | None -> ()
                 | Some sub ->
@@ -424,7 +567,7 @@ let rec build_candidate fwd maps ~candidates ~targets ~table ~level ~need ~v ~re
                     in
                     if better then best := Some (density, u, sub)
               done)
-            candidates;
+            s.candidates;
           match !best with None -> None | Some (_, u, sub) -> Some (u, sub)
         end
       in
@@ -442,29 +585,29 @@ let rec build_candidate fwd maps ~candidates ~targets ~table ~level ~need ~v ~re
             if pred_v.(x) < 0 then acc
             else begin
               let p = pred_v.(x) in
-              match Digraph.view_edge_weight fwd p x with
+              match Digraph.edge_weight g p x with
               | Some w -> connect p ((p, x, w) :: acc)
               | None -> acc
             end
           in
           let fresh = ref [] in
+          let note x =
+            if not (Bitset.mem tree_members x) then begin
+              Bitset.set tree_members x;
+              fresh := x :: !fresh
+            end
+          in
           let note_edges es =
             Edge_set.add_list set es;
             List.iter
               (fun (a, b, _) ->
-                if not (Hashtbl.mem tree_members a) then begin
-                  Hashtbl.replace tree_members a ();
-                  fresh := a :: !fresh
-                end;
-                if not (Hashtbl.mem tree_members b) then begin
-                  Hashtbl.replace tree_members b ();
-                  fresh := b :: !fresh
-                end)
+                note a;
+                note b)
               es
           in
           note_edges (connect u []);
           note_edges sub.cand_edges;
-          Dijkstra.refine_view fwd tree_dist ~new_sources:!fresh ?targets;
+          Dijkstra.refine g tree_dist ~new_sources:!fresh ?targets;
           List.iter
             (fun ti ->
               if remaining.(ti) then begin
@@ -475,16 +618,25 @@ let rec build_candidate fwd maps ~candidates ~targets ~table ~level ~need ~v ~re
             sub.cand_terms
     done;
     if !covered = [] then None
-    else Some { cand_edges = Edge_set.to_list set; cand_cost = Edge_set.cost set; cand_terms = !covered }
+    else begin
+      let cand_edges, cand_cost = Edge_set.contents set in
+      Some { cand_edges; cand_cost; cand_terms = !covered }
+    end
   end
 
-let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
+let check_args ~level ~nv ~root ~terminals ~candidates =
   if level < 1 then invalid_arg "Dst.solve: level < 1";
-  let nv = fwd.Digraph.nv in
   if root < 0 || root >= nv then invalid_arg "Dst.solve: root out of range";
   List.iter
     (fun t -> if t < 0 || t >= nv then invalid_arg "Dst.solve: terminal out of range")
     terminals;
+  Option.iter
+    (List.iter (fun c ->
+         if c < 0 || c >= nv then invalid_arg "Dst.solve: candidate out of range"))
+    candidates
+
+let solve_body ~level ~candidates ~rounds g rg ~root ~terminals =
+  let nv = Digraph.n g in
   let terminals = List.filter (fun t -> t <> root) (List.sort_uniq Int.compare terminals) in
   (* The tree search stops once the candidates are settled.  Without a
      restriction there is no stop set at all: one over every vertex
@@ -494,21 +646,17 @@ let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
     match candidates with
     | None -> (Array.init nv (fun v -> v), None)
     | Some cs ->
-        List.iter
-          (fun c -> if c < 0 || c >= nv then invalid_arg "Dst.solve: candidate out of range")
-          cs;
         (* The root and the terminals must stay eligible. *)
         let cs = List.sort_uniq Int.compare ((root :: terminals) @ cs) in
         (Array.of_list cs, Some cs)
   in
-  let maps = build_terminal_maps ~fwd ~rev terminals in
+  let maps = build_terminal_maps g rg terminals in
   let k = Array.length maps.ids in
-  let table = build_table maps ~nv candidates in
+  let s = make_search maps ~candidates ~targets in
   let remaining = Array.make k true in
-  let result =
-    build_candidate fwd maps ~candidates ~targets ~table ~level ~need:k ~v:root ~remaining
-      ~rounds
-  in
+  let result = build_candidate s ~level ~need:k ~v:root ~remaining ~rounds in
+  Tmedb_obs.Counter.add c_density_evals s.evals;
+  Tmedb_obs.Counter.add c_rows_sorted s.rows_sorted;
   let covered_tis = match result with None -> [] | Some c -> c.cand_terms in
   let covered = List.sort Int.compare (List.map (fun ti -> maps.ids.(ti)) covered_tis) in
   (* Both lists are id-sorted: a linear merge instead of the former
@@ -528,12 +676,14 @@ let solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals =
   in
   { tree = { edges; cost; covered }; uncovered }
 
-let solve_views ?(level = 2) ?candidates ~fwd ~rev ~root ~terminals () =
+(* [graphs ()] gives the forward graph and its reverse; it runs inside
+   the solve's timer, after the arguments are checked. *)
+let run ~level ~candidates ~nv ~root ~terminals graphs =
   Tmedb_obs.Counter.incr c_solves;
   Tmedb_obs.Span.with_ "dst.solve"
     ~args:
       [
-        ("vertices", string_of_int fwd.Digraph.nv);
+        ("vertices", string_of_int nv);
         ("terminals", string_of_int (List.length terminals));
         ("level", string_of_int level);
       ]
@@ -544,14 +694,21 @@ let solve_views ?(level = 2) ?candidates ~fwd ~rev ~root ~terminals () =
       let rounds = ref 0 in
       let outcome =
         Tmedb_obs.Timer.time t_solve (fun () ->
-            solve_body ~level ~candidates ~rounds ~fwd ~rev ~root ~terminals)
+            check_args ~level ~nv ~root ~terminals ~candidates;
+            let g, rg = graphs () in
+            solve_body ~level ~candidates ~rounds g rg ~root ~terminals)
       in
       Tmedb_obs.Histogram.observe h_expansion_rounds !rounds;
       outcome)
 
-let solve ?level ?candidates g ~root ~terminals =
-  solve_views ?level ?candidates ~fwd:(Digraph.view g)
-    ~rev:(Digraph.view (Digraph.reverse g)) ~root ~terminals ()
+let solve_views ?(level = 2) ?candidates ~fwd ~rev ~root ~terminals () =
+  run ~level ~candidates ~nv:fwd.Digraph.nv ~root ~terminals (fun () ->
+      let g = Digraph.of_succ ~n:fwd.Digraph.nv fwd.Digraph.iter_succ in
+      (g, Digraph.of_succ ~n:rev.Digraph.nv ~m:(Digraph.m g) rev.Digraph.iter_succ))
+
+let solve ?(level = 2) ?candidates g ~root ~terminals =
+  let rg = Digraph.reverse g in
+  run ~level ~candidates ~nv:(Digraph.n g) ~root ~terminals (fun () -> (g, rg))
 
 let prune_within ~nv ~root tree =
   let sub = Digraph.of_edges ~n:nv tree.edges in
@@ -564,7 +721,7 @@ let prune_within ~nv ~root tree =
       | Some es -> Edge_set.add_list set es
       | None -> ())
     tree.covered;
-  let edges = Edge_set.to_list set in
-  { edges; cost = Edge_set.cost set; covered = tree.covered }
+  let edges, cost = Edge_set.contents set in
+  { edges; cost; covered = tree.covered }
 
 let prune g ~root tree = prune_within ~nv:(Digraph.n g) ~root tree

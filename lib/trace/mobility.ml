@@ -30,7 +30,13 @@ let validate p =
   if not (0. < p.v_min && p.v_min <= p.v_max) then invalid_arg "Mobility.generate: bad speeds";
   if p.pause_max < 0. then invalid_arg "Mobility.generate: negative pause";
   if p.range <= 0. || p.range >= p.arena then invalid_arg "Mobility.generate: bad range";
-  if p.sample_dt <= 0. then invalid_arg "Mobility.generate: bad sample_dt"
+  if not (p.sample_dt > 0.) then invalid_arg "Mobility.generate: bad sample_dt";
+  let worst = (Float.ceil (p.horizon /. p.sample_dt) +. 1.) *. float_of_int p.n in
+  if worst > float_of_int Trace.generation_ceiling then
+    invalid_arg
+      (Printf.sprintf
+         "Mobility.generate: %.3g position samples (horizon %g, sample_dt %g, %d nodes), above the ceiling of %d"
+         worst p.horizon p.sample_dt p.n Trace.generation_ceiling)
 
 (* A trajectory is a list of segments (t0, t1, (x0,y0), (x1,y1)); a
    pause is a segment with equal endpoints. *)
@@ -69,21 +75,27 @@ let position segments t =
     in
   find segments
 
+(* Sample times only grow, so a segment that ends before one sample
+   time ends before every later one: each node keeps the rest of its
+   list from the first segment not yet ended, and [position] on that
+   rest finds the segment it would find on the whole list.  The work is
+   linear in samples plus segments, not their product. *)
 let sample_positions g p =
   let steps = int_of_float (Float.ceil (p.horizon /. p.sample_dt)) + 1 in
   let trajectories = Array.init p.n (fun _ -> trajectory g p) in
+  (* Past the last waypoint a node stays there. *)
+  let last =
+    Array.map
+      (fun segs -> match List.rev segs with [] -> (0., 0.) | s :: _ -> (s.x1, s.y1))
+      trajectories
+  in
+  let rest = Array.copy trajectories in
   Array.init steps (fun k ->
       let t = Float.min p.horizon (float_of_int k *. p.sample_dt) in
-      Array.map
-        (fun segs ->
-          match position segs t with
-          | Some xy -> xy
-          | None -> (
-              (* Past the last waypoint: stay there. *)
-              match List.rev segs with
-              | [] -> (0., 0.)
-              | last :: _ -> (last.x1, last.y1)))
-        trajectories)
+      Array.init p.n (fun i ->
+          let rec drop = function s :: tl when t > s.t1 -> drop tl | segs -> segs in
+          rest.(i) <- drop rest.(i);
+          match position rest.(i) t with Some xy -> xy | None -> last.(i)))
 
 let positions_at g p t =
   let trajectories = Array.init p.n (fun _ -> trajectory g p) in

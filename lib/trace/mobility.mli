@@ -29,8 +29,9 @@ val default_params : params
 val generate : Rng.t -> params -> Trace.t
 (** Deterministic in the generator state.
     @raise Invalid_argument on fewer than 2 nodes, a horizon that is
-    not positive and finite, or inconsistent arena, speed, pause, range
-    or sampling parameters. *)
+    not positive and finite, inconsistent arena, speed, pause, range
+    or sampling parameters, or more than {!Trace.generation_ceiling}
+    position samples: (⌈horizon/sample_dt⌉ + 1)·n. *)
 
 val positions_at : Rng.t -> params -> float -> (float * float) array
 (** One draw of node positions at the given time (fresh trajectories;

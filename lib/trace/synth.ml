@@ -43,8 +43,17 @@ let validate p =
   if p.duration_mean <= 0. then invalid_arg "Synth.generate: duration_mean <= 0";
   if not (0. < p.dist_lo && p.dist_lo < p.dist_hi) then
     invalid_arg "Synth.generate: bad distance bounds";
-  if p.sociability_spread < 0. || p.sociability_spread >= 1. then
-    invalid_arg "Synth.generate: sociability_spread outside [0,1)"
+  if not (p.sociability_spread >= 0. && p.sociability_spread < 1.) then
+    invalid_arg "Synth.generate: sociability_spread outside [0,1)";
+  (* A pair's gaps are at least gap_lo / (1 + spread)^2, so it has at
+     most this many contacts in the horizon. *)
+  let pairs = float_of_int p.n *. float_of_int (p.n - 1) /. 2. in
+  let per_pair = Float.ceil (p.horizon *. ((1. +. p.sociability_spread) ** 2.) /. p.gap_lo) in
+  let worst = pairs *. per_pair in
+  if worst > float_of_int Trace.generation_ceiling then
+    invalid_arg
+      (Printf.sprintf "Synth.generate: up to %.3g contacts (horizon %g, %d nodes), above the ceiling of %d"
+         worst p.horizon p.n Trace.generation_ceiling)
 
 (* One alternating renewal process for the pair (i, j).  The pair's
    sociability factor scales gap lengths down for social nodes. *)

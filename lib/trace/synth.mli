@@ -40,8 +40,10 @@ val with_n : params -> int -> params
 val generate : Rng.t -> params -> Trace.t
 (** Deterministic in the generator state.
     @raise Invalid_argument on fewer than 2 nodes, a horizon that is
-    not positive and finite, or inconsistent gap, duration, distance or
-    sociability parameters. *)
+    not positive and finite, inconsistent gap, duration, distance or
+    sociability parameters, or more than {!Trace.generation_ceiling}
+    contacts in the worst case: n(n−1)/2 pairs, each with at most
+    ⌈horizon·(1 + spread)²/gap_lo⌉ contacts. *)
 
 val ramp_profile : t0:float -> t1:float -> low:float -> float -> float
 (** Piecewise-linear density: [low] before [t0], rising linearly to 1

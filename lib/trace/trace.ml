@@ -2,6 +2,8 @@ open Tmedb_prelude
 
 type t = { n : int; span : Interval.t; contacts : Contact.t list }
 
+let generation_ceiling = 10_000_000
+
 let make ~n ~span contacts =
   if n <= 0 then invalid_arg "Trace.make: n <= 0";
   List.iter

@@ -10,6 +10,15 @@ val make : n:int -> span:Interval.t -> Contact.t list -> t
 (** @raise Invalid_argument if a contact references a node >= n or
     lies outside the span. *)
 
+val generation_ceiling : int
+(** The most work a synthetic generator ([Synth], [Mobility]) may be
+    asked for, 10{^7} items: a generator computes a worst case from its
+    parameters alone (contacts for [Synth], position samples for
+    [Mobility]) and rejects the request above this.  Every trace the
+    repository generates needs at most about 1.2 million (Synth at
+    N = 100 over 17 000 s); the ceiling keeps a huge finite horizon from
+    running for hours and filling memory. *)
+
 val n : t -> int
 val span : t -> Interval.t
 val contacts : t -> Contact.t list

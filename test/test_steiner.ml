@@ -319,11 +319,17 @@ let prop_dst_pruned_is_arborescence =
 
 (* Random multigraphs built to tie: small integer weights, zero-weight
    edges, self-loops and a duplicate (parallel) edge for about one edge
-   in four, so pop order among equal keys decides predecessors. *)
-let random_multigraph seed =
+   in four, so pop order among equal keys decides predecessors.  Up to
+   [max_n] vertices; with [tenths], the nonzero weights are multiples
+   of 0.1 below 4 instead of integers, so that sums round. *)
+let random_multigraph ?(max_n = 14) ?(tenths = false) seed =
   let rng = Rng.create seed in
-  let n = 1 + Rng.int rng 14 in
-  let weight () = if Rng.unit_float rng < 0.3 then 0. else float_of_int (Rng.int rng 4) in
+  let n = 1 + Rng.int rng max_n in
+  let weight () =
+    if Rng.unit_float rng < 0.3 then 0.
+    else if tenths then float_of_int (Rng.int rng 40) *. 0.1
+    else float_of_int (Rng.int rng 4)
+  in
   let edges = ref [] in
   for _ = 1 to Rng.int rng (4 * n) do
     let u = Rng.int rng n and v = Rng.int rng n in
@@ -727,15 +733,26 @@ let outcome_bits (o : Dst.outcome) =
 
 (* Levels 1-3 on tie-heavy multigraphs (zero-weight cycles, self-loops,
    parallel edges), with a random candidate set on about a third of the
-   seeds: the one pass and its next-hop rule must reproduce the
-   per-terminal Dijkstras' trees exactly. *)
+   seeds: the one pass and its next-hop rule, the lazily sorted rows
+   and the keyed level-2 rounds must reproduce the per-terminal
+   Dijkstras' full scans exactly.  Levels 1 and 2 draw up to 40
+   vertices and 12 terminals, so a level-2 call runs several rounds
+   over cached and bounded keys; level 3 runs one level-2 call per
+   vertex and count of each round, each with its own root and
+   remaining set, on up to 14 vertices and 6 terminals.  Odd seeds use
+   weights in tenths, whose density sums round. *)
 let prop_dst_matches_parent =
   QCheck.Test.make ~name:"= per-terminal Dijkstras" ~count:400
     (QCheck.int_range 0 1_000_000) (fun seed ->
-      let g, n, rng = random_multigraph seed in
-      let terminals = List.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng n) in
+      let level = 1 + (seed / 2 mod 3) in
+      let small = level = 3 in
+      let g, n, rng =
+        random_multigraph ~max_n:(if small then 14 else 40) ~tenths:(seed land 1 = 1) seed
+      in
+      let terminals =
+        List.init (1 + Rng.int rng (if small then 6 else 12)) (fun _ -> Rng.int rng n)
+      in
       let root = Rng.int rng n in
-      let level = 1 + Rng.int rng 3 in
       let candidates =
         if Rng.unit_float rng < 0.3 then
           Some (List.filter (fun _ -> Rng.unit_float rng < 0.4) (List.init n Fun.id))
@@ -762,6 +779,30 @@ let test_dst_tie_fallback () =
       Alcotest.(check (list (triple int int (float 0.))))
         "edges" [ (0, 2, 1.); (2, 3, 1.) ] o.Dst.tree.Dst.edges;
       check_int "one fallback" 1 (Tmedb_obs.Counter.value c_tie_fallbacks - before))
+
+(* Root 2; terminals 0, 1 and 3, plus 4-6 that nothing reaches (they
+   raise [need], so the first round evaluates more vertices).  Round 1
+   picks 1 (density 1) and caches 3's density (3 +. 1) /. 2 = 2, found
+   at tree distance 3.  Joining 1 drops 3's tree distance to 2, where
+   its density is (2 +. 1) /. 2 = 1.5, the best of round 2: a key kept
+   from round 1 (2, equal to 0's density) would skip 3 and connect 0
+   straight from the root instead. *)
+let test_dst_cached_key_needs_same_distance () =
+  let g = Digraph.of_edges ~n:7 [ (1, 3, 2.); (2, 0, 2.); (2, 1, 1.); (3, 0, 1.) ] in
+  let o = Dst.solve ~level:2 g ~root:2 ~terminals:[ 0; 1; 3; 4; 5; 6 ] in
+  Alcotest.(check (list (triple int int (float 0.))))
+    "edges" [ (1, 3, 2.); (2, 1, 1.); (3, 0, 1.) ] o.Dst.tree.Dst.edges
+
+(* Root 2; terminals 0 and 1, plus 3 and 4 that nothing reaches.  In
+   round 2, 0's key is its cached density 3, 1's key is 0 and 1's
+   density, the threshold, is also 3.  The tie goes to the earlier
+   position, 0, joined by the root's edge; skipping keys equal to the
+   threshold would pick 1 and its edge 1 -> 0. *)
+let test_dst_key_at_threshold () =
+  let g = Digraph.of_edges ~n:5 [ (1, 0, 3.); (2, 0, 3.); (2, 1, 1.) ] in
+  let o = Dst.solve ~level:2 g ~root:2 ~terminals:[ 0; 1; 3; 4 ] in
+  Alcotest.(check (list (triple int int (float 0.))))
+    "edges" [ (2, 0, 3.); (2, 1, 1.) ] o.Dst.tree.Dst.edges
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -813,5 +854,7 @@ let () =
           tc "tie order" test_dst_tie_order;
           QCheck_alcotest.to_alcotest prop_dst_matches_parent;
           tc "tie fallback" test_dst_tie_fallback;
+          tc "cached key, same distance" test_dst_cached_key_needs_same_distance;
+          tc "key at the threshold" test_dst_key_at_threshold;
         ] );
     ]

@@ -301,6 +301,16 @@ let test_synth_nonfinite_horizon () =
           ignore (Synth.generate (Rng.create 0) { Synth.default_params with Synth.horizon })))
     [ Float.nan; Float.infinity ]
 
+(* A huge finite horizon used to run for hours: the worst-case contact
+   count is checked against the ceiling before any work. *)
+let test_synth_huge_horizon () =
+  let p = { (Synth.with_n Synth.default_params 4) with Synth.horizon = 1e12 } in
+  match Synth.generate (Rng.create 0) p with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      check_bool "names the ceiling" true
+        (String.starts_with ~prefix:"Synth.generate: up to 8.45e+10 contacts" msg)
+
 (* ------------------------------------------------------------------ *)
 (* Mobility *)
 
@@ -344,6 +354,14 @@ let test_mobility_nonfinite_horizon () =
         (Invalid_argument "Mobility.generate: bad horizon/arena") (fun () ->
           ignore (Mobility.generate (Rng.create 0) { Mobility.default_params with Mobility.horizon })))
     [ Float.nan; Float.infinity ]
+
+let test_mobility_huge_horizon () =
+  let p = { Mobility.default_params with Mobility.n = 4; horizon = 1e12 } in
+  match Mobility.generate (Rng.create 0) p with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      check_bool "names the ceiling" true
+        (String.starts_with ~prefix:"Mobility.generate: 8e+11 position samples" msg)
 
 let test_mobility_validation () =
   Alcotest.check_raises "range vs arena" (Invalid_argument "Mobility.generate: bad range")
@@ -408,6 +426,7 @@ let () =
           tc "ramp raises degree" test_synth_ramp_raises_late_degree;
           tc "validation" test_synth_validation;
           tc "non-finite horizon" test_synth_nonfinite_horizon;
+          tc "huge finite horizon" test_synth_huge_horizon;
         ] );
       ( "mobility",
         [
@@ -417,5 +436,6 @@ let () =
           tc "produces contacts" test_mobility_produces_contacts;
           tc "validation" test_mobility_validation;
           tc "non-finite horizon" test_mobility_nonfinite_horizon;
+          tc "huge finite horizon" test_mobility_huge_horizon;
         ] );
     ]
