@@ -384,9 +384,9 @@ let pareto_bench ~quick () =
     let secs = Unix.gettimeofday () -. t0 in
     (r, secs, before, Tmedb_obs.snapshot ())
   in
-  let shared, shared_secs, sb, sa = run ~share:true in
+  let shared, first_shared_secs, sb, sa = run ~share:true in
   let indep, indep_secs, ib, ia = run ~share:false in
-  Printf.printf "%-34s %9.2f s\n" "shared solve state (10 points)" shared_secs;
+  Printf.printf "%-34s %9.2f s\n" "shared solve state (10 points)" first_shared_secs;
   Printf.printf "%-34s %9.2f s\n%!" "independent solves" indep_secs;
   if
     not
@@ -436,12 +436,22 @@ let pareto_bench ~quick () =
   end;
   (* Wall gate, full mode only (quick CI boxes are too noisy): the
      whole grid under the shared state must cost less than 3 single
-     solves. *)
-  let t0 = Unix.gettimeofday () in
-  ignore (Planner.run planner p);
-  let single_secs = Unix.gettimeofday () -. t0 in
-  Printf.printf "single solve %.2f s; %d-point shared grid %.2f s (%.2fx)\n%!" single_secs
-    npoints shared_secs
+     solves.  Each side is the minimum of three executions taken in
+     turn (the first grid is the sweep above), so one slow stretch of
+     a shared host cannot decide the ratio on its own. *)
+  let single_secs = ref Float.infinity and shared_secs = ref first_shared_secs in
+  for round = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Planner.run planner p);
+    single_secs := Float.min !single_secs (Unix.gettimeofday () -. t0);
+    if round < 3 then begin
+      let _, secs, _, _ = run ~share:true in
+      shared_secs := Float.min !shared_secs secs
+    end
+  done;
+  let single_secs = !single_secs and shared_secs = !shared_secs in
+  Printf.printf "single solve %.2f s; %d-point shared grid %.2f s (%.2fx; minimum of 3 each)\n%!"
+    single_secs npoints shared_secs
     (shared_secs /. Float.max single_secs 1e-9);
   if (not quick) && shared_secs >= 3. *. single_secs then begin
     Printf.eprintf "pareto: shared grid (%.2f s) is not under 3x a single solve (%.2f s)\n"

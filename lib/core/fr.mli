@@ -11,10 +11,12 @@
       and the same for every relay restricted to transmissions before
       its own, with w ∈ [w_min, w_max].
 
-    Constraints are handled in log space (sums of log φ ≤ log ε) with
-    analytic gradients, a quadratic-penalty outer loop, and a final
-    monotone bisection repair pass that guarantees the returned costs
-    satisfy every satisfiable constraint.
+    Constraints are handled in log space (sums of log φ ≤ log ε), one
+    row per protected node in a flat CSR that the penalty solver, the
+    final monotone bisection repair and the polish all read.  Rayleigh
+    gradients are analytic, Nakagami and log-normal ones central
+    differences.  The repair guarantees the returned costs satisfy
+    every satisfiable constraint.
 
     Each FR planner's outcome carries a
     {!Planner.Outcome.Fr_allocation} artifact holding the stage-1

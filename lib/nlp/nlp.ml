@@ -1,15 +1,16 @@
+type problem = {
+  objective : float array -> float;
+  penalized : mu:float -> bound:float -> float array -> float;
+  penalized_grad : mu:float -> float array -> float array;
+  max_violation : float array -> float;
+  lower : float array;
+  upper : float array;
+}
+
 type constraint_fn = {
   g : float array -> float;
   g_grad : (float array -> float array) option;
   label : string;
-}
-
-type problem = {
-  objective : float array -> float;
-  objective_grad : (float array -> float array) option;
-  constraints : constraint_fn list;
-  lower : float array;
-  upper : float array;
 }
 
 type options = {
@@ -42,48 +43,50 @@ type result = {
 let c_solves = Tmedb_obs.Counter.make "nlp.solves"
 let t_solve = Tmedb_obs.Timer.make "nlp.solve"
 
-let max_violation problem x =
-  List.fold_left (fun acc c -> Float.max acc (Float.max 0. (c.g x))) 0. problem.constraints
-
-(* objective + mu·Σ max(0, g)², summed in constraint order.  Every
-   term is >= 0 and mu > 0, and round-to-nearest addition and
-   multiplication are monotone, so each partial value bounds the full
-   value from below: once a partial value is past [bound] the full one
-   is too, and returning it early meets {!Projgrad.minimize}'s bound
-   contract.  A value that never passes [bound] is the full sum,
-   bit-identical to an unbounded evaluation. *)
-let penalized (problem : problem) ~mu ~bound x =
-  if not (mu > 0.) then invalid_arg "Nlp.penalized: mu must be > 0";
-  let objective = problem.objective x in
-  let rec sum violation_sq = function
-    | [] -> objective +. (mu *. violation_sq)
-    | c :: rest ->
-        let v = Float.max 0. (c.g x) in
-        let violation_sq = violation_sq +. (v *. v) in
-        let value = objective +. (mu *. violation_sq) in
-        if value > bound then value else sum violation_sq rest
+let of_constraints ?objective_grad ~objective ~lower ~upper constraints =
+  let max_violation x =
+    List.fold_left (fun acc c -> Float.max acc (Float.max 0. (c.g x))) 0. constraints
   in
-  sum 0. problem.constraints
-
-let penalized_grad problem ~mu x =
-  let n = Array.length x in
-  let base =
-    match problem.objective_grad with
-    | Some g -> g x
-    | None -> Numdiff.gradient problem.objective x
+  (* objective + mu·Σ max(0, g)², summed in constraint order.  Every
+     term is >= 0 and mu > 0, and round-to-nearest addition and
+     multiplication are monotone, so each partial value bounds the
+     full value from below: once a partial value is past [bound] the
+     full one is too, and returning it early meets
+     {!Projgrad.minimize}'s bound contract.  A value that never passes
+     [bound] is the full sum, bit-identical to an unbounded
+     evaluation. *)
+  let penalized ~mu ~bound x =
+    if not (mu > 0.) then invalid_arg "Nlp.penalized: mu must be > 0";
+    let objective = objective x in
+    let rec sum violation_sq = function
+      | [] -> objective +. (mu *. violation_sq)
+      | c :: rest ->
+          let v = Float.max 0. (c.g x) in
+          let violation_sq = violation_sq +. (v *. v) in
+          let value = objective +. (mu *. violation_sq) in
+          if value > bound then value else sum violation_sq rest
+    in
+    sum 0. constraints
   in
-  let grad = Array.copy base in
-  List.iter
-    (fun c ->
-      let v = c.g x in
-      if v > 0. then begin
-        let cg = match c.g_grad with Some g -> g x | None -> Numdiff.gradient c.g x in
-        for i = 0 to n - 1 do
-          grad.(i) <- grad.(i) +. (2. *. mu *. v *. cg.(i))
-        done
-      end)
-    problem.constraints;
-  grad
+  let penalized_grad ~mu x =
+    let n = Array.length x in
+    let base =
+      match objective_grad with Some g -> g x | None -> Numdiff.gradient objective x
+    in
+    let grad = Array.copy base in
+    List.iter
+      (fun c ->
+        let v = c.g x in
+        if v > 0. then begin
+          let cg = match c.g_grad with Some g -> g x | None -> Numdiff.gradient c.g x in
+          for i = 0 to n - 1 do
+            grad.(i) <- grad.(i) +. (2. *. mu *. v *. cg.(i))
+          done
+        end)
+      constraints;
+    grad
+  in
+  { objective; penalized; penalized_grad; max_violation; lower; upper }
 
 let solve ?(options = default_options) problem ~x0 =
   Tmedb_obs.Counter.incr c_solves;
@@ -97,15 +100,15 @@ let solve ?(options = default_options) problem ~x0 =
     let mu_now = !mu in
     let inner_result =
       Projgrad.minimize ~options:options.inner
-        ~f:(penalized problem ~mu:mu_now)
-        ~grad:(penalized_grad problem ~mu:mu_now)
+        ~f:(problem.penalized ~mu:mu_now)
+        ~grad:(problem.penalized_grad ~mu:mu_now)
         ~lower:problem.lower ~upper:problem.upper ~x0:!x ()
     in
     x := inner_result.Projgrad.x;
-    if max_violation problem !x <= options.feas_tol then finished := true
+    if problem.max_violation !x <= options.feas_tol then finished := true
     else mu := !mu *. options.mu_growth
   done;
-  let violation = max_violation problem !x in
+  let violation = problem.max_violation !x in
   Tmedb_obs.Timer.stop t_solve ts;
   {
     x = !x;

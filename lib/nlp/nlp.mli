@@ -3,7 +3,29 @@
     subproblems (the "existing methods" [19] the paper defers to for
     its Equations 14–17).
 
-    minimise f(x)  subject to  g_i(x) <= 0,  lower <= x <= upper. *)
+    minimise f(x)  subject to  g_i(x) <= 0,  lower <= x <= upper.
+
+    {!solve} reads a problem only through the four functions of
+    {!problem}, so a caller with structure (the FR allocation's rows,
+    {!Tmedb.Fr}) evaluates them its own way; {!of_constraints} builds
+    them from a list of constraint closures. *)
+
+type problem = {
+  objective : float array -> float;  (** f. *)
+  penalized : mu:float -> bound:float -> float array -> float;
+      (** [penalized ~mu ~bound x] is the quadratic-penalty objective
+          [f x + mu * Σ max(0, g_i x)²] that {!solve} hands to
+          {!Projgrad.minimize}, under that function's bound contract:
+          when the value is [<= bound] the result is exactly it
+          (bit-identical to [~bound:infinity]); otherwise it is any
+          value [> bound].  {!solve} passes [mu > 0] only. *)
+  penalized_grad : mu:float -> float array -> float array;
+      (** Gradient of [penalized] in x. *)
+  max_violation : float array -> float;
+      (** Largest positive constraint value (0 when feasible). *)
+  lower : float array;
+  upper : float array;
+}
 
 type constraint_fn = {
   g : float array -> float;  (** Feasible iff <= 0. *)
@@ -11,16 +33,21 @@ type constraint_fn = {
   label : string;
 }
 
-type problem = {
-  objective : float array -> float;
-  objective_grad : (float array -> float array) option;
-  constraints : constraint_fn list;
-  lower : float array;
-  upper : float array;
-}
+val of_constraints :
+  ?objective_grad:(float array -> float array) ->
+  objective:(float array -> float) ->
+  lower:float array ->
+  upper:float array ->
+  constraint_fn list ->
+  problem
+(** The problem over the listed constraints, each evaluated through
+    its closures.  [penalized] sums the constraints in list order and
+    stops at the first one that takes the partial value past [bound],
+    returning that partial value; it raises [Invalid_argument] unless
+    [mu > 0].  Missing gradients fall back to central differences. *)
 
 type options = {
-  mu_init : float;  (** Initial penalty weight. *)
+  mu_init : float;  (** Initial penalty weight (> 0). *)
   mu_growth : float;  (** Multiplier per outer iteration (> 1). *)
   outer_iter : int;
   feas_tol : float;  (** Constraint violation tolerance. *)
@@ -38,16 +65,6 @@ type result = {
 }
 
 val solve : ?options:options -> problem -> x0:float array -> result
-
-val penalized : problem -> mu:float -> bound:float -> float array -> float
-(** [penalized problem ~mu ~bound x] is the quadratic-penalty objective
-    [objective x + mu * Σ max(0, g_i x)²] that {!solve} hands to
-    {!Projgrad.minimize}, under that function's bound contract: when
-    the value is [<= bound] the result is exactly it (bit-identical
-    to [~bound:infinity]); otherwise the sum stops at the first
-    constraint that takes it past [bound] and returns that partial
-    value, which is [> bound].
-    @raise Invalid_argument unless [mu > 0]. *)
-
-val max_violation : problem -> float array -> float
-(** Largest positive constraint value (0 when feasible). *)
+(** Penalty loop: minimise [penalized] at [mu_init], [mu_init ·
+    mu_growth], ... with {!Projgrad.minimize} from the last iterate
+    until [max_violation <= feas_tol] or [outer_iter] rounds. *)

@@ -29,6 +29,10 @@ let t_minimize = Tmedb_obs.Timer.make "nlp.projgrad"
 let project ~lower ~upper x =
   Array.mapi (fun i xi -> Futil.clamp ~lo:lower.(i) ~hi:upper.(i) xi) x
 
+(* The per-coordinate loops below write [Futil.clamp]'s expression
+   inline: a call across the module boundary, compiled without
+   cross-module inlining, boxes its three floats on every try. *)
+
 (* Barzilai–Borwein window: the nonmonotone line search references the
    worst of the last few accepted objective values, which lets the
    long BB steps through where a monotone Armijo search would shrink
@@ -65,7 +69,7 @@ let minimize ?(options = default_options) ~f ?grad ~lower ~upper ~x0 () =
        the projection of a unit gradient move. *)
     let pg_sq = ref 0. in
     for i = 0 to n - 1 do
-      let pg = xk.(i) -. Futil.clamp ~lo:lower.(i) ~hi:upper.(i) (xk.(i) -. g.(i)) in
+      let pg = xk.(i) -. Float.max lower.(i) (Float.min upper.(i) (xk.(i) -. g.(i))) in
       pg_sq := !pg_sq +. (pg *. pg)
     done;
     if sqrt !pg_sq <= options.grad_tol then converged := true
@@ -108,7 +112,7 @@ let minimize ?(options = default_options) ~f ?grad ~lower ~upper ~x0 () =
         else begin
           let decrease = ref 0. in
           for i = 0 to n - 1 do
-            let ci = Futil.clamp ~lo:lower.(i) ~hi:upper.(i) (xk.(i) -. (step *. g.(i))) in
+            let ci = Float.max lower.(i) (Float.min upper.(i) (xk.(i) -. (step *. g.(i)))) in
             cand.(i) <- ci;
             decrease := !decrease +. (g.(i) *. (xk.(i) -. ci))
           done;

@@ -113,6 +113,30 @@ grep -q '"schema": "tmedb.pareto/1"' "$pl1" || {
   echo "check.sh: pareto ledger missing the tmedb.pareto/1 schema marker" >&2
   exit 1
 }
+# FR ledgers: the FR-EEDCB allocation keeps all its scratch inside one
+# call, so its run ledger and its warm-chained pareto ledger (each
+# point starts from the previous point's costs) must come out
+# byte-identical at every worker count.
+fl1=$(mktemp); fl2=$(mktemp)
+trap 'rm -f "$m" "$m2" "$m3" "$ptrace" "$l1" "$l2" "$pl1" "$pl2" "$pl3" "$tt" "$fl1" "$fl2"; rm -rf "$pdir" "$pdir2"' EXIT
+dune exec bin/tmedb_cli.exe -- run -a FR-EEDCB --seed 7 --trials 50 --jobs 1 \
+  --ledger "$fl1" --ledger-timestamp 2026-01-01T00:00:00Z "$ptrace" >/dev/null
+dune exec bin/tmedb_cli.exe -- run -a FR-EEDCB --seed 7 --trials 50 --jobs 2 \
+  --ledger "$fl2" --ledger-timestamp 2026-01-01T00:00:00Z "$ptrace" >/dev/null
+cmp -s "$fl1" "$fl2" || {
+  echo "check.sh: FR-EEDCB run ledger not byte-deterministic across --jobs 1/2" >&2
+  exit 1
+}
+dune exec bin/tmedb_cli.exe -- pareto -a FR-EEDCB --deadlines 2000:6000:2000 --seed 7 \
+  --jobs 1 --ledger "$fl1" --ledger-timestamp 2026-01-01T00:00:00Z "$ptrace" >/dev/null
+for j in 2 4; do
+  dune exec bin/tmedb_cli.exe -- pareto -a FR-EEDCB --deadlines 2000:6000:2000 --seed 7 \
+    --jobs $j --ledger "$fl2" --ledger-timestamp 2026-01-01T00:00:00Z "$ptrace" >/dev/null
+  cmp -s "$fl1" "$fl2" || {
+    echo "check.sh: FR-EEDCB pareto ledger not byte-deterministic at --jobs $j" >&2
+    exit 1
+  }
+done
 if dune exec bin/tmedb_cli.exe -- pareto -a EEDCB --deadlines 6000:2000:500 "$ptrace" \
      >/dev/null 2>&1; then
   echo "check.sh: descending --deadlines range was accepted" >&2
@@ -162,7 +186,7 @@ printf '%s\n' "$dout" | grep -q 'points\.6000\.energy' || {
 # uncaught exception (exit 125).  $tt spans [0, 10] over 3 nodes; $tt2
 # starts at 100.
 tt2=$(mktemp)
-trap 'rm -f "$m" "$m2" "$m3" "$ptrace" "$l1" "$l2" "$pl1" "$pl2" "$pl3" "$tt" "$tt2"; rm -rf "$pdir" "$pdir2"' EXIT
+trap 'rm -f "$m" "$m2" "$m3" "$ptrace" "$l1" "$l2" "$pl1" "$pl2" "$pl3" "$tt" "$tt2" "$fl1" "$fl2"; rm -rf "$pdir" "$pdir2"' EXIT
 cat > "$tt2" <<'EOF'
 # tmedb-trace n=3 span=100,300
 0,1,100,300,10
@@ -209,7 +233,7 @@ expect_exit2 pareto --deadline-list 2,8 --watchdog nan "$tt"
 # CSV boundary: a header with trailing text, or a second header, is a
 # load error naming its line, not a silently accepted trace.
 tt3=$(mktemp); tt4=$(mktemp)
-trap 'rm -f "$m" "$m2" "$m3" "$ptrace" "$l1" "$l2" "$pl1" "$pl2" "$pl3" "$tt" "$tt2" "$tt3" "$tt4"; rm -rf "$pdir" "$pdir2"' EXIT
+trap 'rm -f "$m" "$m2" "$m3" "$ptrace" "$l1" "$l2" "$pl1" "$pl2" "$pl3" "$tt" "$tt2" "$tt3" "$tt4" "$fl1" "$fl2"; rm -rf "$pdir" "$pdir2"' EXIT
 printf '# tmedb-trace n=3 span=0,10 junk\n0,1,0,10,10\n' > "$tt3"
 printf '# tmedb-trace n=3 span=0,10\n0,1,0,10,10\n# tmedb-trace n=3 span=0,10\n' > "$tt4"
 expect_exit2 stats "$tt3"

@@ -945,6 +945,617 @@ let test_fr_unfireable_relays_reported () =
   let _, alloc = Fr.allocate p skeleton in
   check_bool "relays unsatisfiable" true (alloc.Fr.unsatisfiable <> [])
 
+(* The FR allocation as it stood before the flat penalty kernel, kept
+   to pin the kernel bit for bit: the closure-per-constraint [Fr.allocate]
+   with the [Nlp.solve], [Nlp.penalized], [Nlp.penalized_grad] and
+   [Projgrad.minimize] it ran on, verbatim but for telemetry and
+   provenance, which change no float. *)
+module Closure_alloc = struct
+  open Tmedb_nlp
+
+  let minimize ?(options = Projgrad.default_options) ~f ?grad ~lower ~upper ~x0 () =
+    let project ~lower ~upper x =
+      Array.mapi (fun i xi -> Futil.clamp ~lo:lower.(i) ~hi:upper.(i) xi) x
+    in
+    let bb_history = 5 and bb_step_min = 1e-10 and bb_step_max = 1e10 in
+    let n = Array.length x0 in
+    if Array.length lower <> n || Array.length upper <> n then
+      invalid_arg "Projgrad.minimize: dimension mismatch";
+    Array.iteri
+      (fun i lo -> if lo > upper.(i) then invalid_arg "Projgrad.minimize: empty box")
+      lower;
+    let grad =
+      match grad with Some g -> g | None -> Numdiff.gradient (f ~bound:Float.infinity)
+    in
+    let x = ref (project ~lower ~upper x0) in
+    let fx = ref (f ~bound:Float.infinity !x) in
+    let iterations = ref 0 in
+    let converged = ref false in
+    let prev = ref None in
+    let recent_f = ref [ !fx ] in
+    while (not !converged) && !iterations < options.Projgrad.max_iter do
+      incr iterations;
+      let xk = !x in
+      let g = grad xk in
+      let pg_sq = ref 0. in
+      for i = 0 to n - 1 do
+        let pg = xk.(i) -. Futil.clamp ~lo:lower.(i) ~hi:upper.(i) (xk.(i) -. g.(i)) in
+        pg_sq := !pg_sq +. (pg *. pg)
+      done;
+      if sqrt !pg_sq <= options.Projgrad.grad_tol then converged := true
+      else begin
+        let step0 =
+          if not options.Projgrad.bb then options.Projgrad.step_init
+          else begin
+            match !prev with
+            | None -> options.Projgrad.step_init
+            | Some (px, pgrad) ->
+                let sts = ref 0. and sty = ref 0. in
+                for i = 0 to n - 1 do
+                  let s = xk.(i) -. px.(i) in
+                  sts := !sts +. (s *. s);
+                  sty := !sty +. (s *. (g.(i) -. pgrad.(i)))
+                done;
+                if !sty > 0. && !sts > 0. then
+                  Futil.clamp ~lo:bb_step_min ~hi:bb_step_max (!sts /. !sty)
+                else options.Projgrad.step_init
+          end
+        in
+        let f_ref =
+          if not options.Projgrad.bb then !fx else List.fold_left Float.max !fx !recent_f
+        in
+        let cand = Array.make n 0. in
+        let rec backtrack step tries =
+          if tries = 0 then None
+          else begin
+            let decrease = ref 0. in
+            for i = 0 to n - 1 do
+              let ci = Futil.clamp ~lo:lower.(i) ~hi:upper.(i) (xk.(i) -. (step *. g.(i))) in
+              cand.(i) <- ci;
+              decrease := !decrease +. (g.(i) *. (xk.(i) -. ci))
+            done;
+            let limit = f_ref -. (options.Projgrad.armijo *. !decrease) in
+            let fc = f ~bound:(Float.min limit f_ref) cand in
+            if fc <= limit && fc < f_ref then Some fc
+            else backtrack (step *. options.Projgrad.step_shrink) (tries - 1)
+          end
+        in
+        match backtrack step0 60 with
+        | Some fc ->
+            if options.Projgrad.bb then begin
+              prev := Some (xk, g);
+              recent_f := fc :: List.filteri (fun i _ -> i < bb_history - 1) !recent_f
+            end;
+            x := cand;
+            fx := fc
+        | None -> converged := true
+      end
+    done;
+    !x
+
+  type constraint_fn = {
+    g : float array -> float;
+    g_grad : (float array -> float array) option;
+  }
+
+  type problem = {
+    objective : float array -> float;
+    objective_grad : (float array -> float array) option;
+    constraints : constraint_fn list;
+    lower : float array;
+    upper : float array;
+  }
+
+  let max_violation problem x =
+    List.fold_left (fun acc c -> Float.max acc (Float.max 0. (c.g x))) 0. problem.constraints
+
+  let penalized (problem : problem) ~mu ~bound x =
+    if not (mu > 0.) then invalid_arg "Nlp.penalized: mu must be > 0";
+    let objective = problem.objective x in
+    let rec sum violation_sq = function
+      | [] -> objective +. (mu *. violation_sq)
+      | c :: rest ->
+          let v = Float.max 0. (c.g x) in
+          let violation_sq = violation_sq +. (v *. v) in
+          let value = objective +. (mu *. violation_sq) in
+          if value > bound then value else sum violation_sq rest
+    in
+    sum 0. problem.constraints
+
+  let penalized_grad problem ~mu x =
+    let n = Array.length x in
+    let base =
+      match problem.objective_grad with
+      | Some g -> g x
+      | None -> Numdiff.gradient problem.objective x
+    in
+    let grad = Array.copy base in
+    List.iter
+      (fun c ->
+        let v = c.g x in
+        if v > 0. then begin
+          let cg = match c.g_grad with Some g -> g x | None -> Numdiff.gradient c.g x in
+          for i = 0 to n - 1 do
+            grad.(i) <- grad.(i) +. (2. *. mu *. v *. cg.(i))
+          done
+        end)
+      problem.constraints;
+    grad
+
+  let solve ?(options = Nlp.default_options) problem ~x0 =
+    let mu = ref options.Nlp.mu_init in
+    let x = ref (Array.copy x0) in
+    let outer = ref 0 in
+    let finished = ref false in
+    while (not !finished) && !outer < options.Nlp.outer_iter do
+      incr outer;
+      let mu_now = !mu in
+      x :=
+        minimize ~options:options.Nlp.inner
+          ~f:(penalized problem ~mu:mu_now)
+          ~grad:(penalized_grad problem ~mu:mu_now)
+          ~lower:problem.lower ~upper:problem.upper ~x0:!x ();
+      if max_violation problem !x <= options.Nlp.feas_tol then finished := true
+      else mu := !mu *. options.Nlp.mu_growth
+    done;
+    let violation = max_violation problem !x in
+    {
+      Nlp.x = !x;
+      objective = problem.objective !x;
+      max_violation = violation;
+      feasible = violation <= options.Nlp.feas_tol;
+      outer_iterations = !outer;
+    }
+
+  let log_failure channel =
+    match channel with
+    | `Rayleigh -> fun ~beta w -> if w <= 0. then 0. else Futil.log1p_safe (-.exp (-.beta /. w))
+    | `Nakagami m ->
+        fun ~beta w ->
+          if w <= 0. then 0.
+          else Float.log (Float.max 1e-300 (Specfun.gammp ~a:m ~x:(m *. beta /. w)))
+    | `Lognormal sigma ->
+        fun ~beta w ->
+          if w <= 0. then 0.
+          else Float.log (Float.max 1e-300 (Specfun.normal_cdf (log (beta /. w) /. sigma)))
+    | `Static -> assert false
+
+  let dlog_failure channel =
+    match channel with
+    | `Rayleigh ->
+        fun ~beta w ->
+          if w <= 0. then 0.
+          else begin
+            let e = exp (-.beta /. w) in
+            let phi = 1. -. e in
+            if phi <= 0. then 0. else -.(e *. beta /. (w *. w)) /. phi
+          end
+    | `Nakagami _ | `Lognormal _ ->
+        let term = log_failure channel in
+        fun ~beta w ->
+          if w <= 0. then 0.
+          else begin
+            let h = 1e-6 *. Float.max w 1e-15 in
+            (term ~beta (w +. h) -. term ~beta (w -. h)) /. (2. *. h)
+          end
+    | `Static -> assert false
+
+  type coverage_constraint = { about : int; idx : int array; beta : float array }
+
+  let of_members about members =
+    { about; idx = Array.of_list (List.map fst members); beta = Array.of_list (List.map snd members) }
+
+  let constraint_value ~term ~log_eps c w =
+    let acc = ref 0. in
+    for i = 0 to Array.length c.idx - 1 do
+      acc := !acc +. term ~beta:c.beta.(i) w.(c.idx.(i))
+    done;
+    !acc -. log_eps
+
+  let firing_ranks (problem : Problem.t) arr =
+    let phy = problem.Problem.phy in
+    let eps = phy.Phy.eps *. (1. +. 1e-6) in
+    let p = Array.make (Tveg.n problem.Problem.graph) 1. in
+    p.(problem.Problem.source) <- 0.;
+    let rank = Array.make (Array.length arr) None in
+    let next_rank = ref 0 in
+    let (_ : int list) =
+      Feasibility.replay problem arr
+        ~ready:(fun relay _ -> p.(relay) <= eps)
+        ~hear:(fun tx dist ->
+          Ed_function.failure_prob
+            (Ed_function.of_distance phy problem.Problem.channel ~dist)
+            ~w:tx.Schedule.cost)
+        ~receive:(fun node _ factor -> p.(node) <- p.(node) *. factor)
+        ~fire:(fun k ->
+          rank.(k) <- Some !next_rank;
+          incr next_rank)
+    in
+    rank
+
+  let build_constraints problem txs =
+    let g = problem.Problem.graph in
+    let phy = problem.Problem.phy in
+    let tau = Tveg.tau g in
+    let arr = Array.of_list txs in
+    let ranks = firing_ranks problem arr in
+    let coverage k =
+      let tx = arr.(k) in
+      List.map
+        (fun (j, dist) -> (j, Phy.beta phy ~dist))
+        (Tveg.neighbors_at g tx.Schedule.relay tx.Schedule.time)
+    in
+    let coverages = Array.init (Array.length arr) coverage in
+    let node_members = Array.make (Tveg.n g) [] in
+    Array.iteri
+      (fun k cov ->
+        if ranks.(k) <> None then
+          List.iter (fun (j, beta) -> node_members.(j) <- (k, beta) :: node_members.(j)) cov)
+      coverages;
+    let node_constraints =
+      List.filter_map
+        (fun j ->
+          if j = problem.Problem.source then None else Some (of_members j node_members.(j)))
+        (List.init (Tveg.n g) (fun j -> j))
+    in
+    let relay_constraints =
+      Array.to_list arr
+      |> List.mapi (fun k' tx ->
+             let r = tx.Schedule.relay in
+             if r = problem.Problem.source then None
+             else begin
+               let members =
+                 List.filter
+                   (fun (k, _) ->
+                     k <> k'
+                     && arr.(k).Schedule.time +. tau <= tx.Schedule.time
+                     &&
+                     match (ranks.(k), ranks.(k')) with
+                     | Some rk, Some rk' -> rk < rk'
+                     | Some _, None -> true
+                     | None, (Some _ | None) -> false)
+                   node_members.(r)
+               in
+               Some (of_members r members)
+             end)
+      |> List.filter_map Fun.id
+    in
+    (node_constraints, relay_constraints, coverages)
+
+  let allocate ?warm problem backbone_schedule =
+    let term = log_failure problem.Problem.channel in
+    let dterm = dlog_failure problem.Problem.channel in
+    let phy = problem.Problem.phy in
+    let log_eps = log phy.Phy.eps -. 1e-6 in
+    let txs = Schedule.transmissions backbone_schedule in
+    let nvars = List.length txs in
+    if nvars = 0 then
+      ( backbone_schedule,
+        {
+          Fr.costs = [||];
+          nlp_feasible = true;
+          repaired = false;
+          unsatisfiable = [];
+          outer_iterations = 0;
+        } )
+    else begin
+      let node_constraints, relay_constraints, coverages = build_constraints problem txs in
+      let unsatisfiable_empty =
+        List.filter_map
+          (fun c -> if c.idx = [||] then Some c.about else None)
+          (node_constraints @ relay_constraints)
+        |> List.sort_uniq Int.compare
+      in
+      let live_constraints =
+        List.filter (fun c -> c.idx <> [||]) (node_constraints @ relay_constraints)
+      in
+      let scale =
+        Array.map
+          (fun cov ->
+            let beta_max = List.fold_left (fun acc (_, b) -> Float.max acc b) 0. cov in
+            if beta_max > 0. then beta_max /. log (1. /. (1. -. phy.Phy.eps))
+            else Float.max phy.Phy.w_min (1e-6 *. phy.Phy.w_max))
+          coverages
+      in
+      let scale_sum = Array.fold_left ( +. ) 0. scale in
+      let objective x =
+        let sum = ref 0. and comp = ref 0. in
+        for k = 0 to nvars - 1 do
+          let y = (scale.(k) *. x.(k)) -. !comp in
+          let t = !sum +. y in
+          comp := t -. !sum -. y;
+          sum := t
+        done;
+        !sum /. scale_sum
+      in
+      let objective_grad _ = Array.map (fun s -> s /. scale_sum) scale in
+      let mk_constraint c =
+        {
+          g =
+            (fun x ->
+              let acc = ref 0. in
+              for i = 0 to Array.length c.idx - 1 do
+                let k = c.idx.(i) in
+                acc := !acc +. term ~beta:c.beta.(i) (scale.(k) *. x.(k))
+              done;
+              !acc -. log_eps);
+          g_grad =
+            Some
+              (fun x ->
+                let grad = Array.make nvars 0. in
+                for i = 0 to Array.length c.idx - 1 do
+                  let k = c.idx.(i) in
+                  grad.(k) <- grad.(k) +. (dterm ~beta:c.beta.(i) (scale.(k) *. x.(k)) *. scale.(k))
+                done;
+                grad);
+        }
+      in
+      let lower = Array.map (fun s -> phy.Phy.w_min /. s) scale in
+      let upper = Array.map (fun s -> phy.Phy.w_max /. s) scale in
+      let x0 =
+        Array.map (fun s -> Futil.clamp ~lo:(phy.Phy.w_min /. s) ~hi:(phy.Phy.w_max /. s) 1.) scale
+      in
+      let nlp_problem =
+        {
+          objective;
+          objective_grad = Some objective_grad;
+          constraints = List.map mk_constraint live_constraints;
+          lower;
+          upper;
+        }
+      in
+      let solve_from factor =
+        let x0 = Array.map (fun x -> Futil.clamp ~lo:0. ~hi:Float.infinity (factor *. x)) x0 in
+        let x0 = Array.mapi (fun k x -> Futil.clamp ~lo:lower.(k) ~hi:upper.(k) x) x0 in
+        solve nlp_problem ~x0
+      in
+      let warm_keys =
+        lazy
+          (let seen = Hashtbl.create 16 in
+           List.map
+             (fun (tx : Schedule.transmission) ->
+               let r = tx.Schedule.relay in
+               let occ = match Hashtbl.find_opt seen r with Some c -> c | None -> 0 in
+               Hashtbl.replace seen r (occ + 1);
+               (r, occ))
+             txs)
+      in
+      let candidates_solved =
+        match warm with
+        | None -> List.map solve_from [ 1.; 0.5 ]
+        | Some store ->
+            let x0 =
+              Array.of_list (Lazy.force warm_keys)
+              |> Array.mapi (fun k (relay, occurrence) ->
+                     match Planner.Warm.find store ~relay ~occurrence with
+                     | Some w0 -> Futil.clamp ~lo:lower.(k) ~hi:upper.(k) (w0 /. scale.(k))
+                     | None -> x0.(k))
+            in
+            let options =
+              {
+                Nlp.default_options with
+                Nlp.inner = { Projgrad.default_options with Projgrad.max_iter = 300; bb = true };
+              }
+            in
+            [ solve ~options nlp_problem ~x0 ]
+      in
+      let tol = 1e-9 in
+      let repair_all w =
+        let unsatisfiable = ref unsatisfiable_empty in
+        let repaired = ref false in
+        let repair c =
+          if constraint_value ~term ~log_eps c w > tol then begin
+            repaired := true;
+            let apply lambda =
+              Array.iter (fun k -> w.(k) <- Float.min phy.Phy.w_max (lambda *. w.(k))) c.idx
+            in
+            let value_at lambda =
+              let acc = ref 0. in
+              for i = 0 to Array.length c.idx - 1 do
+                acc :=
+                  !acc
+                  +. term ~beta:c.beta.(i) (Float.min phy.Phy.w_max (lambda *. w.(c.idx.(i))))
+              done;
+              !acc -. log_eps
+            in
+            let lambda_max =
+              Array.fold_left
+                (fun acc k -> Float.max acc (phy.Phy.w_max /. Float.max w.(k) 1e-300))
+                1. c.idx
+            in
+            match
+              Bisect.least_satisfying (fun lambda -> value_at lambda <= 0.) ~lo:1. ~hi:lambda_max
+            with
+            | Some lambda -> apply lambda
+            | None ->
+                apply lambda_max;
+                unsatisfiable := List.sort_uniq Int.compare (c.about :: !unsatisfiable)
+          end
+        in
+        List.iter repair live_constraints;
+        List.iter repair live_constraints;
+        (!unsatisfiable, !repaired)
+      in
+      let repaired_candidates =
+        List.map
+          (fun (r : Nlp.result) ->
+            let w = Array.mapi (fun k xk -> scale.(k) *. xk) r.Nlp.x in
+            let unsat, rep = repair_all w in
+            (w, unsat, rep, r))
+          candidates_solved
+      in
+      let w_backbone = Array.of_list (Schedule.costs backbone_schedule) in
+      let backbone_unsat, _ = repair_all w_backbone in
+      let w, unsatisfiable, repaired, solved =
+        List.fold_left
+          (fun ((bw, _, _, _) as best) ((cw, _, _, _) as cand) ->
+            if Futil.kahan_sum cw < Futil.kahan_sum bw then cand else best)
+          (w_backbone, backbone_unsat, true, List.hd candidates_solved)
+          repaired_candidates
+      in
+      let ed_of beta =
+        match problem.Problem.channel with
+        | `Rayleigh -> Ed_function.rayleigh ~beta
+        | `Nakagami m -> Ed_function.nakagami ~beta ~m
+        | `Lognormal sigma -> Ed_function.lognormal ~beta ~sigma
+        | `Static -> assert false
+      in
+      let constraints_of = Array.make nvars [] in
+      List.iter
+        (fun c -> Array.iteri (fun i k -> constraints_of.(k) <- (c, i) :: constraints_of.(k)) c.idx)
+        live_constraints;
+      let polish_tol = 1e-4 in
+      let sweep () =
+        let changed = ref false in
+        for k = 0 to nvars - 1 do
+          let required =
+            List.fold_left
+              (fun acc (c, i) ->
+                if constraint_value ~term ~log_eps c w > tol then Float.max acc w.(k)
+                else begin
+                  let others = ref 0. in
+                  Array.iteri
+                    (fun i' k' ->
+                      if k' <> k then others := !others +. term ~beta:c.beta.(i') w.(k'))
+                    c.idx;
+                  let rhs = log_eps -. !others in
+                  if rhs >= 0. then acc
+                  else begin
+                    match Ed_function.cost_for_failure (ed_of c.beta.(i)) ~target:(exp rhs) with
+                    | Some need -> Float.max acc need
+                    | None -> Float.max acc w.(k)
+                  end
+                end)
+              phy.Phy.w_min constraints_of.(k)
+          in
+          if required < w.(k) *. (1. -. polish_tol) then begin
+            w.(k) <- required;
+            changed := true
+          end
+        done;
+        !changed
+      in
+      let sweeps = ref 0 in
+      while sweep () && !sweeps < 25 do
+        incr sweeps
+      done;
+      (match warm with
+      | None -> ()
+      | Some store ->
+          Planner.Warm.reset store;
+          List.iteri
+            (fun k (relay, occurrence) -> Planner.Warm.set store ~relay ~occurrence w.(k))
+            (Lazy.force warm_keys));
+      let schedule =
+        Schedule.of_transmissions
+          (List.filteri
+             (fun k _ -> w.(k) > 0.)
+             (Schedule.transmissions (Schedule.map_costs backbone_schedule (fun k _ -> w.(k)))))
+      in
+      ( schedule,
+        {
+          Fr.costs = w;
+          nlp_feasible = solved.Nlp.feasible;
+          repaired;
+          unsatisfiable;
+          outer_iterations = solved.Nlp.outer_iterations;
+        } )
+    end
+end
+
+(* A random stage-2 input: a TVEG of 3–10 nodes (τ = 0 on half the
+   seeds), a fading design channel, and a backbone skeleton that
+   floods it: each transmission's relay is mostly a node an earlier
+   one reached, sometimes one nothing reached (an unfireable relay),
+   and sometimes shares the previous instant (a same-instant chain
+   under τ = 0).  Each costs the single-hop ε-cost of its farthest
+   neighbour, capped at w_max, which buys one hop of 25 m at ε = 1 %;
+   contacts reach 35 m, so w_max saturates. *)
+let fr_kernel_case seed =
+  let phy = Phy.make ~w_max:(Phy.fading_reference_cost phy ~dist:25.) () in
+  let rng = Rng.create seed in
+  let n = 3 + Rng.int rng 8 in
+  let tau = if Rng.int rng 2 = 0 then 0. else 0.5 +. Rng.float rng 3. in
+  let entries = ref [] in
+  for i = 0 to n - 2 do
+    for j = i + 1 to n - 1 do
+      if Rng.int rng 4 > 0 then begin
+        let lo = Rng.float rng 60. in
+        let hi = Float.min 100. (lo +. 20. +. Rng.float rng 40.) in
+        entries := (i, j, link lo hi (2. +. Rng.float rng 33.)) :: !entries
+      end
+    done
+  done;
+  let g = Tveg.create ~n ~span:(iv 0. 100.) ~tau !entries in
+  let channel =
+    (* Mostly Rayleigh, whose terms the kernel writes inline;
+       log-normal cases cost the most to run. *)
+    match Rng.int rng 8 with
+    | 0 | 1 | 2 | 3 | 4 -> `Rayleigh
+    | 5 | 6 -> `Nakagami (List.nth [ 1.; 2.; 3.5 ] (Rng.int rng 3))
+    | _ -> `Lognormal (0.5 +. Rng.float rng 2.)
+  in
+  let reached = Array.make n false in
+  reached.(0) <- true;
+  let time = ref (Rng.float rng 30.) in
+  let skeleton =
+    List.init (1 + Rng.int rng (2 * n)) (fun k ->
+        if k > 0 && Rng.int rng 3 > 0 then time := !time +. Rng.float rng 15.;
+        let informed = List.filter (fun j -> reached.(j)) (List.init n Fun.id) in
+        let relay =
+          if Rng.int rng 5 = 0 then Rng.int rng n
+          else List.nth informed (Rng.int rng (List.length informed))
+        in
+        let neighbours = Tveg.neighbors_at g relay !time in
+        List.iter (fun (j, _) -> reached.(j) <- true) neighbours;
+        let far = List.fold_left (fun acc (_, d) -> Float.max acc d) 2. neighbours in
+        tx relay !time (Float.min phy.Phy.w_max (Phy.fading_reference_cost phy ~dist:far)))
+  in
+  let problem deadline = Problem.make ~graph:g ~phy ~channel ~source:0 ~deadline () in
+  (problem, skeleton)
+
+let prop_fr_kernel_matches_closures =
+  QCheck.Test.make ~name:"FR allocation = closure-per-constraint allocation, bit for bit"
+    ~count:100 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let problem, skeleton = fr_kernel_case seed in
+      let hex a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+      let show (schedule, (a : Fr.allocation)) =
+        Printf.sprintf "costs [%s] schedule [%s] nlp_feasible %b repaired %b unsat [%s] outer %d"
+          (hex a.Fr.costs)
+          (String.concat "; "
+             (List.map
+                (fun (t : Schedule.transmission) ->
+                  Printf.sprintf "%d %h %h" t.Schedule.relay t.Schedule.time t.Schedule.cost)
+                (Schedule.transmissions schedule)))
+          a.Fr.nlp_feasible a.Fr.repaired
+          (String.concat "," (List.map string_of_int a.Fr.unsatisfiable))
+          a.Fr.outer_iterations
+      in
+      let within deadline =
+        Schedule.of_transmissions
+          (List.filter (fun (t : Schedule.transmission) -> t.Schedule.time < deadline) skeleton)
+      in
+      let cold = problem 100. in
+      let same label kernel closures =
+        let a = show kernel and b = show closures in
+        if String.equal a b then true
+        else QCheck.Test.fail_reportf "%s:\n kernel   %s\n closures %s" label a b
+      in
+      same "cold"
+        (Fr.allocate cold (within 100.))
+        (Closure_alloc.allocate cold (within 100.))
+      &&
+      (* Warm: one store per side carried across two deadlines, as a
+         Pareto chain does. *)
+      let kernel_store = Planner.Warm.create () and closure_store = Planner.Warm.create () in
+      List.for_all
+        (fun deadline ->
+          same
+            (Printf.sprintf "warm T=%g" deadline)
+            (Fr.allocate ~warm:kernel_store (problem deadline) (within deadline))
+            (Closure_alloc.allocate ~warm:closure_store (problem deadline) (within deadline)))
+        [ 60.; 100. ])
+
 (* ------------------------------------------------------------------ *)
 (* SPT *)
 
@@ -1683,6 +2294,7 @@ let () =
           tc "unfireable relays reported" test_fr_unfireable_relays_reported;
           QCheck_alcotest.to_alcotest prop_fr_allocation_feasible;
           tc "costs pinned per channel" test_fr_costs_pinned;
+          QCheck_alcotest.to_alcotest prop_fr_kernel_matches_closures;
         ] );
       ( "static_bip",
         [

@@ -138,17 +138,18 @@ let test_projgrad_dimension_mismatch () =
 (* ------------------------------------------------------------------ *)
 (* Nlp (penalty solver) *)
 
+(* min x + y over 0 <= x,y <= 1, under [constraints]. *)
+let simple_with constraints =
+  Nlp.of_constraints
+    ~objective:(fun x -> x.(0) +. x.(1))
+    ~objective_grad:(fun _ -> [| 1.; 1. |])
+    ~lower:[| 0.; 0. |] ~upper:[| 1.; 1. |] constraints
+
 let simple_problem =
   (* min x + y  s.t.  x + y >= 1 (i.e. 1 - x - y <= 0), 0 <= x,y <= 1 *)
-  {
-    Nlp.objective = (fun x -> x.(0) +. x.(1));
-    objective_grad = Some (fun _ -> [| 1.; 1. |]);
-    constraints =
-      [ { Nlp.g = (fun x -> 1. -. x.(0) -. x.(1)); g_grad = Some (fun _ -> [| -1.; -1. |]);
-          label = "sum" } ];
-    lower = [| 0.; 0. |];
-    upper = [| 1.; 1. |];
-  }
+  simple_with
+    [ { Nlp.g = (fun x -> 1. -. x.(0) -. x.(1)); g_grad = Some (fun _ -> [| -1.; -1. |]);
+        label = "sum" } ]
 
 let test_nlp_linear_with_constraint () =
   let r = Nlp.solve simple_problem ~x0:[| 1.; 1. |] in
@@ -158,27 +159,24 @@ let test_nlp_linear_with_constraint () =
 let test_nlp_infeasible_reported () =
   (* x <= 1 but constraint demands x >= 2: impossible. *)
   let p =
-    {
-      Nlp.objective = (fun x -> x.(0));
-      objective_grad = None;
-      constraints = [ { Nlp.g = (fun x -> 2. -. x.(0)); g_grad = None; label = "impossible" } ];
-      lower = [| 0. |];
-      upper = [| 1. |];
-    }
+    Nlp.of_constraints
+      ~objective:(fun x -> x.(0))
+      ~lower:[| 0. |] ~upper:[| 1. |]
+      [ { Nlp.g = (fun x -> 2. -. x.(0)); g_grad = None; label = "impossible" } ]
   in
   let r = Nlp.solve p ~x0:[| 0.5 |] in
   check_bool "infeasible" false r.Nlp.feasible;
   check_bool "violation positive" true (r.Nlp.max_violation > 0.9)
 
 let test_nlp_already_feasible () =
-  let r = Nlp.solve { simple_problem with Nlp.constraints = [] } ~x0:[| 0.7; 0.7 |] in
+  let r = Nlp.solve (simple_with []) ~x0:[| 0.7; 0.7 |] in
   check_bool "feasible" true r.Nlp.feasible;
   close ~tol:1e-4 "unconstrained minimum at box corner" 0. r.Nlp.objective
 
 let test_nlp_max_violation () =
   let x = [| 0.; 0. |] in
-  close "violation" 1. (Nlp.max_violation simple_problem x);
-  close "none when satisfied" 0. (Nlp.max_violation simple_problem [| 1.; 1. |])
+  close "violation" 1. (simple_problem.Nlp.max_violation x);
+  close "none when satisfied" 0. (simple_problem.Nlp.max_violation [| 1.; 1. |])
 
 let test_nlp_circle_constraint () =
   (* min x+y s.t. x^2 + y^2 >= 1 inside [0,2]^2: optimum on the circle,
@@ -186,15 +184,12 @@ let test_nlp_circle_constraint () =
      x+y subject to being outside the unit circle is 1 (corner (1,0) or
      (0,1)).  Accept anything feasible with objective <= 1.05. *)
   let p =
-    {
-      Nlp.objective = (fun x -> x.(0) +. x.(1));
-      objective_grad = Some (fun _ -> [| 1.; 1. |]);
-      constraints =
-        [ { Nlp.g = (fun x -> 1. -. ((x.(0) ** 2.) +. (x.(1) ** 2.)));
-            g_grad = Some (fun x -> [| -2. *. x.(0); -2. *. x.(1) |]); label = "circle" } ];
-      lower = [| 0.; 0. |];
-      upper = [| 2.; 2. |];
-    }
+    Nlp.of_constraints
+      ~objective:(fun x -> x.(0) +. x.(1))
+      ~objective_grad:(fun _ -> [| 1.; 1. |])
+      ~lower:[| 0.; 0. |] ~upper:[| 2.; 2. |]
+      [ { Nlp.g = (fun x -> 1. -. ((x.(0) ** 2.) +. (x.(1) ** 2.)));
+          g_grad = Some (fun x -> [| -2. *. x.(0); -2. *. x.(1) |]); label = "circle" } ]
   in
   let r = Nlp.solve p ~x0:[| 2.; 2. |] in
   check_bool "feasible" true r.Nlp.feasible;
@@ -248,17 +243,13 @@ let penalty_problem c =
     Array.iteri (fun j aj -> acc := !acc -. (aj *. if squared then x.(j) *. x.(j) else x.(j))) a;
     !acc
   in
-  {
-    Nlp.objective =
-      (fun x ->
-        let acc = ref 0. in
-        Array.iteri (fun j w -> acc := !acc +. (w *. x.(j))) c.weights;
-        !acc);
-    objective_grad = None;
-    constraints = List.map (fun r -> { Nlp.g = row r; g_grad = None; label = "row" }) c.rows;
-    lower = c.lower;
-    upper = c.upper;
-  }
+  Nlp.of_constraints
+    ~objective:(fun x ->
+      let acc = ref 0. in
+      Array.iteri (fun j w -> acc := !acc +. (w *. x.(j))) c.weights;
+      !acc)
+    ~lower:c.lower ~upper:c.upper
+    (List.map (fun r -> { Nlp.g = row r; g_grad = None; label = "row" }) c.rows)
 
 let arb_penalty_case = QCheck.make ~print:print_penalty_case gen_penalty_case
 let bits = Int64.bits_of_float
@@ -274,9 +265,9 @@ let prop_bound_keeps_iterates =
               ~options:{ Projgrad.default_options with Projgrad.max_iter = 60; bb }
               ~f ~lower:c.lower ~upper:c.upper ~x0:c.x0 ()
           in
-          let honoured = run (Nlp.penalized problem ~mu:c.mu) in
+          let honoured = run (problem.Nlp.penalized ~mu:c.mu) in
           let ignored =
-            run (fun ~bound:_ x -> Nlp.penalized problem ~mu:c.mu ~bound:Float.infinity x)
+            run (fun ~bound:_ x -> problem.Nlp.penalized ~mu:c.mu ~bound:Float.infinity x)
           in
           Array.for_all2 (fun a b -> bits a = bits b) honoured.Projgrad.x ignored.Projgrad.x
           && bits honoured.Projgrad.f = bits ignored.Projgrad.f
@@ -293,27 +284,25 @@ let prop_penalized_contract =
     (fun (c, s, t) ->
       let problem = penalty_problem c in
       let x = Array.mapi (fun j lo -> lo +. (s *. (c.upper.(j) -. lo))) c.lower in
-      let full = Nlp.penalized problem ~mu:c.mu ~bound:Float.infinity x in
+      let full = problem.Nlp.penalized ~mu:c.mu ~bound:Float.infinity x in
       let base = problem.Nlp.objective x in
       let bound = base +. (t *. (full -. base)) in
-      let r = Nlp.penalized problem ~mu:c.mu ~bound x in
+      let r = problem.Nlp.penalized ~mu:c.mu ~bound x in
       if full <= bound then bits r = bits full else r > bound)
 
 let test_penalized_stops_past_bound () =
   let p =
-    {
-      simple_problem with
-      Nlp.objective = (fun _ -> 0.);
-      constraints =
-        [
-          { Nlp.g = (fun _ -> 1.); g_grad = None; label = "first" };
-          { Nlp.g = (fun _ -> failwith "summed past the bound"); g_grad = None; label = "second" };
-        ];
-    }
+    Nlp.of_constraints
+      ~objective:(fun _ -> 0.)
+      ~lower:[| 0.; 0. |] ~upper:[| 1.; 1. |]
+      [
+        { Nlp.g = (fun _ -> 1.); g_grad = None; label = "first" };
+        { Nlp.g = (fun _ -> failwith "summed past the bound"); g_grad = None; label = "second" };
+      ]
   in
-  close "partial value" 1. (Nlp.penalized p ~mu:1. ~bound:0.5 [| 0.; 0. |]);
+  close "partial value" 1. (p.Nlp.penalized ~mu:1. ~bound:0.5 [| 0.; 0. |]);
   Alcotest.check_raises "mu > 0" (Invalid_argument "Nlp.penalized: mu must be > 0") (fun () ->
-      ignore (Nlp.penalized simple_problem ~mu:0. ~bound:Float.infinity [| 0.; 0. |]))
+      ignore (simple_problem.Nlp.penalized ~mu:0. ~bound:Float.infinity [| 0.; 0. |]))
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
