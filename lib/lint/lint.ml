@@ -480,8 +480,8 @@ let check_toplevel_mutable ctx structure =
 (* ------------------------------------------------------------------ *)
 (* R6: undocumented public vals, on the parsed signature.  The parser
    attaches both comment-above and comment-below odoc blocks to the
-   val as an [ocaml.doc] attribute, so one attribute check replaces
-   the whole docs_check.sh awk program. *)
+   val as an [ocaml.doc] attribute, so one attribute check covers both
+   styles. *)
 
 let has_doc attrs =
   List.exists

@@ -22,9 +22,9 @@
       [compare]/[min]/[max] applied to syntactically float-ish
       operands in the numeric kernels; use [Float.equal],
       [Float.compare] etc.
-    - {b R6 undocumented-val}: a public [val] in [lib/core] or
-      [lib/obs] without an odoc comment (the [scripts/docs_check.sh]
-      gate, re-implemented on the real parsed signature).
+    - {b R6 undocumented-val}: a public [val] in [lib/core],
+      [lib/obs] or [lib/report] without an odoc comment, checked on
+      the real parsed signature.
 
     This module is phase 1.  The interprocedural phase-2 rules (R7
     [pool-task-purity], R8 [rng-taint], R9 [blocking-in-task]) run over

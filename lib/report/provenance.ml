@@ -15,29 +15,27 @@ type event =
   | Allocation of { relay : int; time : float; backbone_cost : float; allocated_cost : float }
 
 (* Global sink, mirroring the lib/obs registry discipline: an Atomic
-   flag so the disabled path is one load, a mutex-guarded list for the
-   (cold, construction-time) emissions.  EEDCB/FR construction runs on
-   one domain, so emission order is the algorithm's own deterministic
-   order; the mutex only defends against unconventional callers. *)
+   flag so the disabled path is one load, and one Atomic list (newest
+   first) that [emit] pushes onto with compare-and-set, so concurrent
+   emitters need no lock and each one's events keep their order.
+   EEDCB/FR construction runs on one domain, so emission order is the
+   algorithm's own deterministic order. *)
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
+let sink : event list Atomic.t = Atomic.make []
 
-let sink_mutex = Mutex.create ()
-let sink : event list ref = ref [] (* newest first *)
+let emit e =
+  if Atomic.get enabled_flag then begin
+    let rec push () =
+      let old = Atomic.get sink in
+      if not (Atomic.compare_and_set sink old (e :: old)) then push ()
+    in
+    push ()
+  end
 
-(* R9 suppressed here, at the effect's definition site: the sink mutex
-   guards an O(1) list append and is never held across pool scheduling
-   or another blocking call, so a task contending on it waits a bounded
-   time — not the scheduler-starvation shape blocking-in-task defends
-   against. *)
-let[@lint.allow "blocking-in-task"] with_sink f =
-  Mutex.lock sink_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sink_mutex) f
-
-let emit e = if Atomic.get enabled_flag then with_sink (fun () -> sink := e :: !sink)
-let reset () = with_sink (fun () -> sink := [])
-let events () = with_sink (fun () -> List.rev !sink)
+let reset () = Atomic.set sink []
+let events () = List.rev (Atomic.get sink)
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec.  Tagged objects with a fixed field order per kind, so

@@ -94,6 +94,31 @@ let test_provenance_sink =
   Provenance.reset ();
   check_bool "reset clears the sink" true (Provenance.events () = [])
 
+(* The sink takes no lock: four domains pushing at once must lose no
+   event, and each domain's events must come back in its own order. *)
+let test_provenance_concurrent_emit =
+  scrubbed @@ fun () ->
+  let per_domain = 5_000 in
+  let emitter d () =
+    for i = 0 to per_domain - 1 do
+      Provenance.emit (Provenance.Expansion { vertex = d; terminals = i })
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun d -> Domain.spawn (emitter d)));
+  let events = Provenance.events () in
+  check_int "every event recorded" (4 * per_domain) (List.length events);
+  for d = 0 to 3 do
+    let order =
+      List.filter_map
+        (function
+          | Provenance.Expansion { vertex; terminals } when vertex = d -> Some terminals
+          | _ -> None)
+        events
+    in
+    check_bool (Printf.sprintf "domain %d in emission order" d) true
+      (order = List.init per_domain Fun.id)
+  done
+
 let test_provenance_json_round_trip () =
   List.iter
     (fun e ->
@@ -425,6 +450,7 @@ let () =
           tc "sink gating and order" test_provenance_sink;
           tc "json round-trip" test_provenance_json_round_trip;
           tc "completeness on a fig6-style run" test_provenance_completeness;
+          tc "concurrent emits from four domains" test_provenance_concurrent_emit;
         ] );
       ( "ledger",
         [
