@@ -1,19 +1,23 @@
 #!/bin/sh
-# Advisory performance-regression gate: write the next BENCH_N.json
-# baseline, diff it against the previous committed baseline, and report
-# every key that moved past the thresholds (deterministic keys at
-# THRESHOLD, default 0.05; wall-clock keys at a fixed loose 0.5 inside
-# bench regress itself).  Normally exits 0 — timing on shared machines
-# is too noisy for a hard gate — but prints an escalation note when the
-# gate trips so a human can re-run locally and either investigate or
-# deliberately publish a new baseline.
+# Performance-regression gate: write the next BENCH_N.json baseline,
+# diff it against the previous committed baseline, and report every key
+# that moved past the thresholds (deterministic keys at THRESHOLD,
+# default 0.05; wall-clock keys at a fixed loose 0.5 inside bench
+# regress itself).
+#
+# Hard: exits 1 when bench wrote no valid baseline — a run whose result
+# differs from the first run's (at either worker count) ends bench
+# before the file is written, and a file that does not round-trip
+# prints no `BENCH_N.json ok` line.  Advisory: the diff itself —
+# timing on shared machines is too noisy for a hard gate — prints an
+# escalation note so a human can re-run locally and either investigate
+# or deliberately publish a new baseline.
 #
 # Usage: regress.sh [THRESHOLD] [FLOOR] [HARD]
 #   FLOOR: minimum fig5/fig6 sweep speedup at --jobs 2, forwarded to
 #          `bench regress --speedup-floor` (empty: no floor check).
 #   HARD=1: a floor violation fails the script (callers pass this only
-#           on multi-core runners; see check.sh).  Everything else
-#           stays advisory regardless.
+#           on multi-core runners; see check.sh).
 set -eu
 cd "$(dirname "$0")/.."
 threshold="${1:-0.05}"
@@ -28,7 +32,11 @@ printf '%s\n' "$out"
 # Drop the freshly written baseline: regress is a check, not a publish.
 # New baselines are committed deliberately via `bench baseline`.
 path=$(printf '%s\n' "$out" | sed -n 's/^\(BENCH_[0-9]*\.json\) ok.*/\1/p')
-if [ -n "$path" ]; then rm -f "$path"; fi
+if [ -z "$path" ]; then
+  echo "regress.sh: bench wrote no valid baseline (a run's result differed, or the file did not round-trip)" >&2
+  exit 1
+fi
+rm -f "$path"
 if [ "$status" -ne 0 ]; then
   echo "regress.sh: ADVISORY — metrics moved past the gate (threshold $threshold)." >&2
   echo "regress.sh: if the movement is expected, run 'dune exec bench/main.exe -- baseline'" >&2
