@@ -137,7 +137,9 @@ module Lazy = struct
     tau : float;
     base : int array;  (* wait-vertex base id per node *)
     total_wait : int;
+    owner : int array;  (* per wait/block id, its node *)
     level_off : int array;  (* per-block level-id prefix, length total_wait+1 *)
+    coarse : int array;  (* per 2^coarse_bits level ranks, the block owning the first *)
     row : int array;  (* per block, the row of its first level in its node's [rows] *)
     rows : rows array;  (* per node: the level table, the only DCS data kept *)
     nv : int;
@@ -246,16 +248,40 @@ module Lazy = struct
     Tmedb_obs.Counter.add c_lazy_nodes_total t.nv;
     t
 
+  (* Level ranks per entry of the coarse rank -> block index: a lookup
+     starts at its entry's block and scans forward over the blocks
+     that own ranks of the same entry (and empty blocks between). *)
+  let coarse_bits = 6
+
   let make (problem : Problem.t) dts ~base ~level_off ~row ~rows ~edge_bound =
     let total_wait = Array.length row in
-    let nv = total_wait + level_off.(total_wait) in
+    let levels = level_off.(total_wait) in
+    let nv = total_wait + levels in
+    let owner = Array.make total_wait 0 in
+    Array.iteri
+      (fun i b ->
+        let stop = if i + 1 < Array.length base then base.(i + 1) else total_wait in
+        Array.fill owner b (stop - b) i)
+      base;
+    let coarse = Array.make ((levels lsr coarse_bits) + 1) 0 in
+    let b = ref 0 in
+    Array.iteri
+      (fun q _ ->
+        let r = q lsl coarse_bits in
+        while !b + 1 < total_wait && level_off.(!b + 1) <= r do
+          incr b
+        done;
+        coarse.(q) <- !b)
+      coarse;
     {
       problem;
       dts;
       tau = Tveg.tau problem.Problem.graph;
       base;
       total_wait;
+      owner;
       level_off;
+      coarse;
       row;
       rows;
       nv;
@@ -352,29 +378,18 @@ module Lazy = struct
   (* First wait/block id past node [i]'s. *)
   let node_end t i = if i + 1 < Array.length t.base then t.base.(i + 1) else t.total_wait
 
-  (* Node owning wait/block id [id]: rightmost i with base.(i) <= id
-     (bases are strictly increasing — every node has >= 1 DTS point). *)
-  let node_of_wait t id =
-    let base = t.base in
-    let lo = ref 0 and hi = ref (Array.length base - 1) in
-    while !hi > !lo do
-      let mid = (!lo + !hi + 1) / 2 in
-      if base.(mid) <= id then lo := mid else hi := mid - 1
-    done;
-    !lo
-
-  (* Level vertex id -> (block id, level index): rightmost block whose
-     level-id prefix starts at or before the rank.  Empty blocks share
-     their successor's offset and can never own a rank. *)
+  (* Level vertex id -> (block id, level index): the block whose
+     level-id range holds the rank, found from the coarse entry by a
+     forward scan.  Empty blocks share their successor's offset and
+     can never own a rank. *)
   let locate_level t id =
     let r = id - t.total_wait in
     let off = t.level_off in
-    let lo = ref 0 and hi = ref (t.total_wait - 1) in
-    while !hi > !lo do
-      let mid = (!lo + !hi + 1) / 2 in
-      if off.(mid) <= r then lo := mid else hi := mid - 1
+    let b = ref t.coarse.(r lsr coarse_bits) in
+    while off.(!b + 1) <= r do
+      incr b
     done;
-    (!lo, r - off.(!lo))
+    (!b, r - off.(!b))
 
   (* Transmission instant of block [bid], owned by [node]. *)
   let block_time t ~node bid = (Dts.node_points t.dts node).(bid - t.base.(node))
@@ -435,12 +450,12 @@ module Lazy = struct
       end
     in
     if u < t.total_wait then begin
-      let node = node_of_wait t u in
+      let node = t.owner.(u) in
       wait_succs t ~node ~last:(u + 1 = node_end t node) u f
     end
     else begin
       let bid, k = locate_level t u in
-      let node = node_of_wait t bid in
+      let node = t.owner.(bid) in
       level_succs t ~node ~time:(block_time t ~node bid) bid k u f
     end
 
@@ -524,10 +539,10 @@ module Lazy = struct
     if id < 0 || id >= t.nv then invalid_arg "Aux_graph.Lazy.describe: id out of range";
     match t.forced with
     | Some g -> g.vertex.(id)
-    | None when id < t.total_wait -> wait_desc t ~node:(node_of_wait t id) id
+    | None when id < t.total_wait -> wait_desc t ~node:t.owner.(id) id
     | None ->
         let bid, k = locate_level t id in
-        let node = node_of_wait t bid in
+        let node = t.owner.(bid) in
         level_desc t ~node ~time:(block_time t ~node bid) bid k
 
   let wait_vertex t ~node ~point_idx =

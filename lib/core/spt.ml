@@ -55,11 +55,13 @@ let plan (ctx : Planner.Ctx.t) problem =
     List.partition (fun t -> res.Dijkstra.dist.(t) < Float.infinity) terminals
   in
   (* Union of predecessor paths, walking each chain only down to the
-     first vertex already in the tree.  Edges are keyed (u, v) and
-     listed in key order, so the tree is independent of walk order. *)
-  let in_tree = Tmedb_prelude.Bitset.create (Aux_graph.Lazy.num_vertices aux) in
+     first vertex already in the tree.  Each vertex enters once, as the
+     head of one edge, so the keys u * nv + v are distinct, and the
+     edges are listed in key order, independent of walk order. *)
+  let nv = Aux_graph.Lazy.num_vertices aux in
+  let in_tree = Tmedb_prelude.Bitset.create nv in
   Tmedb_prelude.Bitset.set in_tree root;
-  let edge_tbl = Hashtbl.create 64 in
+  let keys = ref [||] and weights = ref [||] and m = ref 0 in
   List.iter
     (fun term ->
       let v = ref term in
@@ -71,15 +73,22 @@ let plan (ctx : Planner.Ctx.t) problem =
           | Some w -> w
           | None -> invalid_arg "Spt.plan: predecessor edge missing from view"
         in
-        Hashtbl.replace edge_tbl (u, !v) w;
+        if !m = Array.length !keys then begin
+          let cap = max 64 (2 * !m) in
+          keys := Array.append !keys (Array.make (cap - !m) 0);
+          weights := Array.append !weights (Array.make (cap - !m) 0.)
+        end;
+        !keys.(!m) <- (u * nv) + !v;
+        !weights.(!m) <- w;
+        incr m;
         v := u
       done)
     reached;
+  let keys = Array.sub !keys 0 !m and weights = !weights in
   let edges =
-    Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) edge_tbl []
-    |> List.sort (fun (u1, v1, _) (u2, v2, _) ->
-           let c = Int.compare u1 u2 in
-           if c <> 0 then c else Int.compare v1 v2)
+    Array.fold_right
+      (fun e acc -> (keys.(e) / nv, keys.(e) mod nv, weights.(e)) :: acc)
+      (Tmedb_prelude.Keysort.order keys) []
   in
   let tree = { Dst.edges; cost = Dst.tree_cost edges; covered = List.sort Int.compare reached } in
   let schedule = Aux_graph.Lazy.extract_schedule aux tree in

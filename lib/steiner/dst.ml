@@ -49,19 +49,26 @@ module Edge_set = struct
       List.fold_left (fun acc (_, w) -> acc +. w) 0. bs )
 end
 
+(* The first weight listed for each (u, v), summed in list order: the
+   positions sorted by v and then, stably, by u list each pair's run
+   in position order, so a run starts at its first occurrence. *)
 let tree_cost edges =
-  let module S = Set.Make (struct
-    type t = int * int
-
-    let compare = Stdlib.compare
-  end) in
-  let _, total =
-    List.fold_left
-      (fun (seen, total) (u, v, w) ->
-        if S.mem (u, v) seen then (seen, total) else (S.add (u, v) seen, total +. w))
-      (S.empty, 0.) edges
-  in
-  total
+  let m = List.length edges in
+  let us = Array.make m 0 and vs = Array.make m 0 in
+  List.iteri
+    (fun e (u, v, _) ->
+      us.(e) <- u;
+      vs.(e) <- v)
+    edges;
+  let ord = Keysort.order vs in
+  Keysort.sort_by us ord;
+  let first = Array.make m false in
+  Array.iteri
+    (fun k e -> first.(e) <- k = 0 || us.(ord.(k - 1)) <> us.(e) || vs.(ord.(k - 1)) <> vs.(e))
+    ord;
+  let total = ref 0. in
+  List.iteri (fun e (_, _, w) -> if first.(e) then total := !total +. w) edges;
+  !total
 
 (* Every vertex's distance to each of the k terminals in one flat
    table, [dist.(v * k + ti)], equal bit for bit to what a reverse

@@ -95,4 +95,5 @@ val prune_within : nv:int -> root:int -> tree -> tree
     [prune g ~root tree = prune_within ~nv:(Digraph.n g) ~root tree]. *)
 
 val tree_cost : (int * int * float) list -> float
-(** Deduplicated cost of an edge list. *)
+(** Deduplicated cost of an edge list: the first weight listed for
+    each (u, v) pair, summed in list order.  O(m log m) for m edges. *)

@@ -58,14 +58,93 @@ let parse_header lineno line =
   | exception (Scanf.Scan_failure msg | Failure msg) -> fail msg
   | exception End_of_file -> fail "truncated"
 
+(* A contact line is exactly five comma-separated fields: the two node
+   ids, optionally signed decimal integers, then start, end and
+   distance, optionally signed decimal numbers (digits, an optional
+   fraction, an optional exponent).  That is every line [to_csv]
+   writes with [%d] and [%.17g]; anything else — another field,
+   trailing text, blanks, digit separators, hexadecimal, [inf] or
+   [nan] — is an error naming the line and the field. *)
+let field_names = [ "a"; "b"; "start"; "end"; "dist" ]
+
+exception Bad_field of int * string
+
+(* Whether [s.[lo, hi)] is an optionally signed run of decimal digits,
+   or, unless [int], an optionally signed decimal number: digits with
+   an optional fraction (at least one digit in all) and an optional
+   exponent. *)
+let is_decimal ~int s lo hi =
+  let i = ref lo in
+  let skip_sign () = if !i < hi && (s.[!i] = '+' || s.[!i] = '-') then incr i in
+  let digits () =
+    let from = !i in
+    while !i < hi && '0' <= s.[!i] && s.[!i] <= '9' do
+      incr i
+    done;
+    !i > from
+  in
+  skip_sign ();
+  let whole = digits () in
+  let fraction =
+    (not int) && !i < hi && s.[!i] = '.'
+    && begin
+         incr i;
+         digits ()
+       end
+  in
+  let exponent =
+    if (not int) && !i < hi && (s.[!i] = 'e' || s.[!i] = 'E') then begin
+      incr i;
+      skip_sign ();
+      digits ()
+    end
+    else true
+  in
+  (whole || fraction) && exponent && !i = hi
+
 let parse_line lineno line =
-  try
-    Scanf.sscanf line "%d,%d,%f,%f,%f" (fun a b lo hi dist ->
-        Ok (Contact.make ~a ~b ~iv:(Interval.make ~lo ~hi) ~dist))
+  let len = String.length line in
+  (* Field k spans [starts.(k), stops.(k)). *)
+  let starts = Array.make 5 0 and stops = Array.make 5 len in
+  let rec split k from =
+    match String.index_from_opt line from ',' with
+    | None when k = 4 -> ()
+    | None ->
+        raise (Bad_field (k + 1, "missing: a contact line has the 5 fields a,b,start,end,dist"))
+    | Some _ when k = 4 ->
+        raise (Bad_field (5, "unexpected: a contact line has the 5 fields a,b,start,end,dist"))
+    | Some c ->
+        stops.(k) <- c;
+        starts.(k + 1) <- c + 1;
+        split (k + 1) (c + 1)
+  in
+  let text k = String.sub line starts.(k) (stops.(k) - starts.(k)) in
+  let node k =
+    if not (is_decimal ~int:true line starts.(k) stops.(k)) then
+      raise (Bad_field (k, Printf.sprintf "%S is not a decimal integer" (text k)));
+    match int_of_string_opt (text k) with
+    | Some v -> v
+    | None -> raise (Bad_field (k, Printf.sprintf "%S is out of range" (text k)))
+  in
+  let number k =
+    if not (is_decimal ~int:false line starts.(k) stops.(k)) then
+      raise (Bad_field (k, Printf.sprintf "%S is not a decimal number" (text k)));
+    float_of_string (text k)
+  in
+  match
+    split 0 0;
+    let a = node 0 in
+    let b = node 1 in
+    let lo = number 2 in
+    let hi = number 3 in
+    let dist = number 4 in
+    Contact.make ~a ~b ~iv:(Interval.make ~lo ~hi) ~dist
   with
-  | Scanf.Scan_failure msg | Failure msg | Invalid_argument msg ->
-      Error (Printf.sprintf "line %d: %s" lineno msg)
-  | End_of_file -> Error (Printf.sprintf "line %d: truncated record" lineno)
+  | c -> Ok c
+  | exception Bad_field (k, msg) ->
+      let name = match List.nth_opt field_names k with Some f -> " (" ^ f ^ ")" | None -> "" in
+      Error (Printf.sprintf "line %d: field %d%s: %s" lineno (k + 1) name msg)
+  | exception Invalid_argument msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
 
 (* The first contact, in file order, that the header does not admit. *)
 let check_declared ~n ~span contacts =

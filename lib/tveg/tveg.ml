@@ -251,6 +251,8 @@ let nth_dist_at t i k time =
   let s = live_idx t p time in
   if s < 0 then None else Some p.segs.(s).dist
 
+let nth_live t i k time = live_idx t t.pairs.(i).(k) time >= 0
+
 (* Every piece lies inside the span ([create] checks it and [restrict]
    clips to the new span), so the points need no filter. *)
 let adjacent_partition t i =

@@ -97,6 +97,10 @@ val nth_dist_at : t -> int -> int -> float -> float option
     g i).(k)], read from the pair stored at that position instead of
     searching for it.  O(log L). *)
 
+val nth_live : t -> int -> int -> float -> bool
+(** [nth_live g i k t] is [Option.is_some (nth_dist_at g i k t)],
+    without allocating. *)
+
 val earliest_arrival : t -> src:int -> t0:float -> float array
 (** Earliest packet arrival per node from [src] starting at [t0]
     (temporal Dijkstra: a node reached at [a] reaches each neighbour

@@ -134,6 +134,16 @@ for j in 2 4; do
     exit 1
   }
 done
+# SPT ledger: the lazy single-scan planner must give the same ledger
+# bytes on 1 and 2 domains.
+dune exec bin/tmedb_cli.exe -- run -a SPT --seed 7 --trials 50 --jobs 1 \
+  --ledger "$fl1" --ledger-timestamp 2026-01-01T00:00:00Z "$ptrace" >/dev/null
+dune exec bin/tmedb_cli.exe -- run -a SPT --seed 7 --trials 50 --jobs 2 \
+  --ledger "$fl2" --ledger-timestamp 2026-01-01T00:00:00Z "$ptrace" >/dev/null
+cmp -s "$fl1" "$fl2" || {
+  echo "check.sh: SPT run ledger not byte-deterministic across --jobs 1/2" >&2
+  exit 1
+}
 if dune exec bin/tmedb_cli.exe -- pareto -a EEDCB --deadlines 6000:2000:500 "$ptrace" \
      >/dev/null 2>&1; then
   echo "check.sh: descending --deadlines range was accepted" >&2
@@ -227,12 +237,17 @@ for cmd in run compare simulate; do
 done
 expect_exit2 pareto --deadline-list 2,8 --watchdog=-1 "$tt"
 expect_exit2 pareto --deadline-list 2,8 --watchdog nan "$tt"
-# CSV boundary: a header with trailing text, or a second header, is a
-# load error naming its line, not a silently accepted trace.
+# CSV boundary: a header with trailing text, a second header, a sixth
+# field or text after the fifth is a load error naming its line, not a
+# silently accepted trace.
 tt3=$(mktemp); tt4=$(mktemp)
 trap 'rm -f "$m" "$m2" "$m3" "$ptrace" "$l1" "$l2" "$pl1" "$pl2" "$pl3" "$tt" "$tt2" "$tt3" "$tt4" "$fl1" "$fl2"; rm -rf "$pdir" "$pdir2"' EXIT
 printf '# tmedb-trace n=3 span=0,10 junk\n0,1,0,10,10\n' > "$tt3"
 printf '# tmedb-trace n=3 span=0,10\n0,1,0,10,10\n# tmedb-trace n=3 span=0,10\n' > "$tt4"
+expect_exit2 stats "$tt3"
+expect_exit2 stats "$tt4"
+printf '# tmedb-trace n=3 span=0,10\n0,1,0,10,5,junk\n' > "$tt3"
+printf '# tmedb-trace n=3 span=0,20\n1,2,5,20,7 trailing\n' > "$tt4"
 expect_exit2 stats "$tt3"
 expect_exit2 stats "$tt4"
 # Generator boundary: too few nodes, a horizon that is not positive

@@ -1587,6 +1587,106 @@ let test_spt_lazy_pinned () =
       (quickstart_problem ~deadline:30. (), "6c6fae1029e2230e9a456989dc175026", [ 4 ]);
     ]
 
+(* SPT's tree against the assembly it replaced, kept here verbatim as
+   the reference: a (u, v)-keyed Hashtbl of the predecessor walks,
+   listed by a closure sort, costed by a Set of pairs.  Both read one
+   scan of the same lazy graph; edges, covered terminals and cost must
+   agree to the bit. *)
+module Reference_spt = struct
+  open Tmedb_steiner
+
+  let tree_cost edges =
+    let module S = Set.Make (struct
+      type t = int * int
+
+      let compare = Stdlib.compare
+    end) in
+    let _, total =
+      List.fold_left
+        (fun (seen, total) (u, v, w) ->
+          if S.mem (u, v) seen then (seen, total) else (S.add (u, v) seen, total +. w))
+        (S.empty, 0.) edges
+    in
+    total
+
+  let tree ?cap_per_node problem =
+    let problem = Problem.clip problem in
+    let dts = Problem.dts ?cap_per_node problem in
+    let aux = Aux_graph.Lazy.create problem dts in
+    let fwd = Aux_graph.Lazy.view aux and root = Aux_graph.Lazy.source_vertex aux in
+    let terminals = Aux_graph.Lazy.terminals aux in
+    let res = Dijkstra.run_view ~targets:terminals fwd ~src:root in
+    let reached, _ = List.partition (fun t -> res.Dijkstra.dist.(t) < Float.infinity) terminals in
+    let in_tree = Tmedb_prelude.Bitset.create (Aux_graph.Lazy.num_vertices aux) in
+    Tmedb_prelude.Bitset.set in_tree root;
+    let edge_tbl = Hashtbl.create 64 in
+    List.iter
+      (fun term ->
+        let v = ref term in
+        while not (Tmedb_prelude.Bitset.mem in_tree !v) do
+          Tmedb_prelude.Bitset.set in_tree !v;
+          let u = res.Dijkstra.pred.(!v) in
+          let w =
+            match Digraph.view_edge_weight fwd u !v with
+            | Some w -> w
+            | None -> invalid_arg "Spt.plan: predecessor edge missing from view"
+          in
+          Hashtbl.replace edge_tbl (u, !v) w;
+          v := u
+        done)
+      reached;
+    let edges =
+      Hashtbl.fold (fun (u, v) w acc -> (u, v, w) :: acc) edge_tbl []
+      |> List.sort (fun (u1, v1, _) (u2, v2, _) ->
+             let c = Int.compare u1 u2 in
+             if c <> 0 then c else Int.compare v1 v2)
+    in
+    { Dst.edges; cost = tree_cost edges; covered = List.sort Int.compare reached }
+end
+
+let spt_tree_bits (tree : Tmedb_steiner.Dst.tree) =
+  Printf.sprintf "edges [%s] covered [%s] cost %h"
+    (String.concat "; "
+       (List.map (fun (u, v, w) -> Printf.sprintf "%d %d %h" u v w) tree.Tmedb_steiner.Dst.edges))
+    (String.concat " " (List.map string_of_int tree.Tmedb_steiner.Dst.covered))
+    tree.Tmedb_steiner.Dst.cost
+
+(* Random instances at several deadlines, τ and caps (a cap of 2
+   truncates every node). *)
+let prop_spt_tree_matches_reference =
+  QCheck.Test.make ~name:"tree = Hashtbl/Set assembly, by bits" ~count:60
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let base = random_instance seed in
+      let tau = [| 0.; 0.; 0.5; 2. |].(Rng.int rng 4) in
+      let g = base.Problem.graph in
+      let graph =
+        Tveg.create ~n:(Tveg.n g) ~span:(Tveg.span g) ~tau
+          (List.concat_map
+             (fun i ->
+               List.concat_map
+                 (fun j -> if j > i then List.map (fun l -> (i, j, l)) (Tveg.links g i j) else [])
+                 (Array.to_list (Tveg.neighbor_ids g i)))
+             (List.init (Tveg.n g) Fun.id))
+      in
+      let deadline = 30. +. Rng.float rng 70. in
+      let cap_per_node = [| None; Some 2; Some 6 |].(Rng.int rng 3) in
+      let p = { base with Problem.graph; deadline } in
+      let o, _ =
+        with_dts_warnings (fun () -> Spt.plan (Planner.Ctx.make ?cap_per_node ()) p)
+      in
+      let got =
+        List.find_map
+          (function
+            | Planner.Outcome.Steiner_tree { tree; _ } -> Some (spt_tree_bits tree) | _ -> None)
+          o.Planner.Outcome.artifacts
+      in
+      let want, _ = with_dts_warnings (fun () -> spt_tree_bits (Reference_spt.tree ?cap_per_node p)) in
+      got = Some want
+      || QCheck.Test.fail_reportf "seed %d@.got:  %s@.want: %s" seed
+           (Option.value got ~default:"no tree") want)
+
 let test_spt_on_scale_scenario () =
   (* End-to-end on a small clustered Scale instance: lazy SPT reaches
      everyone and leaves most of the vertex universe untouched. *)
@@ -2203,6 +2303,35 @@ let test_spt_lazy_pinned_scale () =
   Alcotest.(check (list int)) "everyone reached" [] o.Planner.Outcome.unreached;
   check_int "warnings" 1 w
 
+(* nscale-500's first seed-42 instance, where every node starts at or
+   above the cap: the schedule, the DTS point total and the scan's
+   materialised vertices, pinned at the set-based closure, the
+   binary-searching lazy view and the hash-table tree assembly. *)
+let test_spt_lazy_pinned_scale_500 () =
+  let params = { Scale.default_params with Scale.seed = 42 * 1_000_003 } in
+  let g = Scale.scenario ~params ~n:500 () in
+  let p =
+    Problem.make ~graph:g ~phy ~channel:`Static ~source:0 ~deadline:(Scale.deadline ~params ()) ()
+  in
+  let points = Tmedb_obs.Counter.make "dts.points" in
+  let materialized = Tmedb_obs.Counter.make "aux_graph.nodes_materialized" in
+  let was = Tmedb_obs.enabled () in
+  Tmedb_obs.set_enabled true;
+  let p0 = Tmedb_obs.Counter.value points and m0 = Tmedb_obs.Counter.value materialized in
+  let o, w =
+    Fun.protect
+      ~finally:(fun () -> Tmedb_obs.set_enabled was)
+      (fun () ->
+        with_dts_warnings (fun () -> Spt.plan (Planner.Ctx.make ~cap_per_node:64 ()) p))
+  in
+  Alcotest.(check string)
+    "schedule" "28bf1add86ded2336fb9263a139f7716"
+    (Digest.to_hex (Digest.string (Schedule.to_csv o.Planner.Outcome.schedule)));
+  Alcotest.(check (list int)) "everyone reached" [] o.Planner.Outcome.unreached;
+  check_int "DTS points" 119_663 (Tmedb_obs.Counter.value points - p0);
+  check_int "nodes materialized" 277_822 (Tmedb_obs.Counter.value materialized - m0);
+  check_int "warnings" 1 w
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "core"
@@ -2257,6 +2386,7 @@ let () =
           tc "lazy pinned" test_spt_lazy_pinned;
           tc "scale scenario end-to-end" test_spt_on_scale_scenario;
           tc "one query per sized block" test_spt_one_query_per_block;
+          QCheck_alcotest.to_alcotest prop_spt_tree_matches_reference;
         ] );
       ( "eedcb",
         [
@@ -2335,5 +2465,6 @@ let () =
           tc "degree windows pinned" test_degree_windows_pinned;
           tc "source picks pinned" test_source_picks_pinned;
           tc "trace stats pinned" test_trace_stats_pinned;
+          tc "lazy SPT pinned (Scale N=500)" test_spt_lazy_pinned_scale_500;
         ] );
     ]

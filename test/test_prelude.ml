@@ -599,6 +599,26 @@ let test_json_accessors () =
       | Some _ | None -> Alcotest.fail "expected a one-kernel list")
   | None -> Alcotest.fail "expected kernels field")
 
+(* Keysort orders positions as a stable sort of (key, position) pairs
+   does: by key, equal keys in their current order — checked on a
+   permutation that is not the identity, over keys with many ties. *)
+let prop_keysort_stable =
+  QCheck.Test.make ~name:"Keysort = List.stable_sort by key" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let m = Rng.int rng 70 in
+      let keys = Array.init m (fun _ -> Rng.int rng (1 + (m / 4)) - (m / 8)) in
+      let perm = Array.init m Fun.id in
+      Rng.shuffle rng perm;
+      let want =
+        List.stable_sort (fun a b -> Int.compare keys.(a) keys.(b)) (Array.to_list perm)
+      in
+      Keysort.sort_by keys perm;
+      Array.to_list perm = want
+      && Array.to_list (Keysort.order keys)
+         = List.stable_sort (fun a b -> Int.compare keys.(a) keys.(b)) (List.init m Fun.id))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "prelude"
@@ -655,6 +675,7 @@ let () =
           tc "random stress" test_pqueue_random_stress;
           tc "duplicates" test_pqueue_duplicates;
           QCheck_alcotest.to_alcotest prop_pqueue_matches_reference;
+          QCheck_alcotest.to_alcotest prop_keysort_stable;
         ] );
       ( "bitset",
         [

@@ -804,6 +804,39 @@ let test_dst_key_at_threshold () =
   Alcotest.(check (list (triple int int (float 0.))))
     "edges" [ (2, 0, 3.); (2, 1, 1.) ] o.Dst.tree.Dst.edges
 
+(* Dst.tree_cost against the set-of-pairs version it replaced, kept
+   here verbatim as the reference: the first weight listed for each
+   (u, v) counts, summed in list order, on lists that repeat keys with
+   other weights (bits compared, so the summation order shows). *)
+let reference_tree_cost edges =
+  let module S = Set.Make (struct
+    type t = int * int
+
+    let compare = Stdlib.compare
+  end) in
+  let _, total =
+    List.fold_left
+      (fun (seen, total) (u, v, w) ->
+        if S.mem (u, v) seen then (seen, total) else (S.add (u, v) seen, total +. w))
+      (S.empty, 0.) edges
+  in
+  total
+
+let prop_tree_cost_matches_reference =
+  QCheck.Test.make ~name:"tree_cost = Set reference, by bits" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let ids = 1 + Rng.int rng 6 in
+      let id () = Rng.int rng (2 * ids) - (if seed mod 3 = 0 then ids else 0) in
+      let edges =
+        List.init (Rng.int rng 40) (fun _ ->
+            (id (), id (), Float.ldexp (Rng.unit_float rng) (Rng.int rng 40 - 20)))
+      in
+      Int64.equal
+        (Int64.bits_of_float (Dst.tree_cost edges))
+        (Int64.bits_of_float (reference_tree_cost edges)))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "steiner"
@@ -856,5 +889,6 @@ let () =
           tc "tie fallback" test_dst_tie_fallback;
           tc "cached key, same distance" test_dst_cached_key_needs_same_distance;
           tc "key at the threshold" test_dst_key_at_threshold;
+          QCheck_alcotest.to_alcotest prop_tree_cost_matches_reference;
         ] );
     ]

@@ -381,6 +381,87 @@ let prop_synth_csv_roundtrip =
       | Error _ -> false
       | Ok t' -> Trace.num_contacts t = Trace.num_contacts t')
 
+(* A contact line is exactly five decimal fields: each fault is an
+   error naming its line and field, in the loader's own words. *)
+let test_csv_contact_line_faults () =
+  List.iter
+    (fun (line, message) ->
+      match Trace.of_csv ("0,1,0,10,5\n" ^ line ^ "\n") with
+      | Ok _ -> Alcotest.fail ("accepted " ^ String.escaped line)
+      | Error e -> Alcotest.(check string) (String.escaped line) message e)
+    [
+      ("0,1,0,10,5,junk", "line 2: field 6: unexpected: a contact line has the 5 fields a,b,start,end,dist");
+      ("0,1,0,10,5,", "line 2: field 6: unexpected: a contact line has the 5 fields a,b,start,end,dist");
+      ("1,2,5,20,7 trailing", "line 2: field 5 (dist): \"7 trailing\" is not a decimal number");
+      ("1,2,5,20,7junk", "line 2: field 5 (dist): \"7junk\" is not a decimal number");
+      ("0,1,1_0,20,5", "line 2: field 3 (start): \"1_0\" is not a decimal number");
+      ("1_0,11,0,20,5", "line 2: field 1 (a): \"1_0\" is not a decimal integer");
+      ("0,1,notanumber,3,1", "line 2: field 3 (start): \"notanumber\" is not a decimal number");
+      ("0,1,0,inf,5", "line 2: field 4 (end): \"inf\" is not a decimal number");
+      ("0,1,nan,20,5", "line 2: field 3 (start): \"nan\" is not a decimal number");
+      ("0,1,0,20,0x1p3", "line 2: field 5 (dist): \"0x1p3\" is not a decimal number");
+      ("0,1,0,20,5e+", "line 2: field 5 (dist): \"5e+\" is not a decimal number");
+      ("0, 1,0,20,5", "line 2: field 2 (b): \" 1\" is not a decimal integer");
+      ("0,,0,20,5", "line 2: field 2 (b): \"\" is not a decimal integer");
+      ("0,1.5,0,20,5", "line 2: field 2 (b): \"1.5\" is not a decimal integer");
+      ( "99999999999999999999,1,0,20,5",
+        "line 2: field 1 (a): \"99999999999999999999\" is out of range" );
+      ("0,1,0,20", "line 2: field 5 (dist): missing: a contact line has the 5 fields a,b,start,end,dist");
+      ("0;1;0;20;5", "line 2: field 2 (b): missing: a contact line has the 5 fields a,b,start,end,dist");
+      ("0,1,20,10,5", "line 2: Interval.make: need finite lo < hi");
+    ];
+  (* Every form to_csv writes, and the plain decimal spellings around
+     them, still load. *)
+  match Trace.of_csv "+0,007,.5,5.,1E+01\n1,2,-0,2e1,0.25\n" with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+      Alcotest.(check (list (pair (float 0.) (float 0.))))
+        "starts, ends" [ (-0., 20.); (0.5, 5.) ]
+        (List.map
+           (fun c -> (c.Contact.iv.Interval.lo, c.Contact.iv.Interval.hi))
+           (Trace.contacts t))
+
+(* [of_csv (to_csv t)] is [t], every float by its bits, over spans and
+   distances of widely varying magnitude and sign. *)
+let prop_csv_roundtrip_bits =
+  QCheck.Test.make ~name:"of_csv (to_csv t) = t, by bits" ~count:200
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000)) (fun seed ->
+      let rng = Rng.create seed in
+      let magnitude () = Float.ldexp (1. +. Rng.unit_float rng) (Rng.int rng 60 - 30) in
+      let n = 2 + Rng.int rng 7 in
+      let lo = if Rng.bool rng then -.magnitude () else magnitude () in
+      let hi = lo +. Float.max (magnitude ()) (0.5 *. Float.abs lo) in
+      let span = iv lo hi in
+      let at () = lo +. (Rng.unit_float rng *. (hi -. lo)) in
+      let contacts =
+        List.filter_map
+          (fun _ ->
+            let a = Rng.int rng n and b = Rng.int rng n in
+            let s = at () and e = at () in
+            if a = b || s = e then None
+            else
+              Some
+                (Contact.make ~a ~b ~iv:(iv (Float.min s e) (Float.max s e)) ~dist:(magnitude ())))
+          (List.init (Rng.int rng 12) Fun.id)
+      in
+      let t = Trace.make ~n ~span contacts in
+      let bits x = Int64.bits_of_float x in
+      let same_iv (x : Interval.t) (y : Interval.t) =
+        bits x.Interval.lo = bits y.Interval.lo && bits x.Interval.hi = bits y.Interval.hi
+      in
+      match Trace.of_csv (Trace.to_csv t) with
+      | Error _ -> false
+      | Ok t' ->
+          Trace.n t = Trace.n t'
+          && same_iv (Trace.span t) (Trace.span t')
+          && List.length (Trace.contacts t) = List.length (Trace.contacts t')
+          && List.for_all2
+               (fun (c : Contact.t) (c' : Contact.t) ->
+                 c.Contact.a = c'.Contact.a && c.Contact.b = c'.Contact.b
+                 && same_iv c.Contact.iv c'.Contact.iv
+                 && bits c.Contact.dist = bits c'.Contact.dist)
+               (Trace.contacts t) (Trace.contacts t'))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "trace"
@@ -414,6 +495,8 @@ let () =
           tc "repeated header" test_csv_repeated_header;
           tc "header n <= 0" test_csv_header_nonpositive_n;
           tc "contact outside header" test_csv_contact_outside_header;
+          tc "contact line faults" test_csv_contact_line_faults;
+          QCheck_alcotest.to_alcotest prop_csv_roundtrip_bits;
         ] );
       ( "synth",
         [

@@ -1122,6 +1122,147 @@ let test_scale_deterministic_and_shaped () =
         (a <= Scale.deadline ~params ()))
     arr
 
+(* ------------------------------------------------------------------ *)
+(* Dts.compute against the set-based closure it replaced, kept here as
+   the reference: the closure loop is verbatim, except that it counts
+   its truncation warning and returns its sets and arrivals instead of
+   logging and building a [Dts.t]. *)
+
+module Reference_dts = struct
+  module FloatSet = Set.Make (Float)
+
+  let base_points g ~deadline ~min_time i =
+    Array.to_list (Tveg.adjacent_partition g i)
+    |> List.filter (fun p -> p <= deadline && p >= min_time.(i))
+    |> FloatSet.of_list
+
+  let compute ?(cap_per_node = 4000) ?source g ~deadline =
+    let warnings = ref 0 in
+    let span = Tveg.span g in
+    let n = Tveg.n g in
+    let tau = Tveg.tau g in
+    let min_time =
+      match source with
+      | None -> Array.make n span.Interval.lo
+      | Some src -> Tveg.earliest_arrival g ~src ~t0:span.Interval.lo
+    in
+    let sets = Array.init n (fun i -> base_points g ~deadline ~min_time i) in
+    begin
+      let queue = Queue.create () in
+      Array.iteri (fun i set -> FloatSet.iter (fun p -> Queue.add (0, i, p) queue) set) sets;
+      let sizes = Array.map FloatSet.cardinal sets in
+      let truncated = ref false in
+      while not (Queue.is_empty queue) do
+        let depth, i, p = Queue.pop queue in
+        let p' = p +. tau in
+        if depth < n - 1 && p' <= deadline then begin
+          let nbrs = Tveg.neighbor_ids g i in
+          for k = 0 to Array.length nbrs - 1 do
+            let j = nbrs.(k) in
+            if
+              p' >= min_time.(j)
+              && (not (!truncated && sizes.(j) >= cap_per_node))
+              && Option.is_some (Tveg.nth_dist_at g i k p)
+              && not (FloatSet.mem p' sets.(j))
+            then begin
+              if sizes.(j) < cap_per_node then begin
+                sets.(j) <- FloatSet.add p' sets.(j);
+                sizes.(j) <- sizes.(j) + 1;
+                Queue.add (depth + 1, j, p') queue
+              end
+              else truncated := true
+            end
+          done
+        end
+      done;
+      if !truncated then incr warnings
+    end;
+    Array.iteri
+      (fun i s -> if FloatSet.is_empty s then sets.(i) <- FloatSet.singleton span.Interval.lo)
+      sets;
+    (Array.map (fun s -> Array.of_list (FloatSet.elements s)) sets, min_time, !warnings)
+end
+
+let count_dts_warnings f =
+  let count = ref 0 in
+  let reporter = Logs.reporter () and level = Logs.level () in
+  Logs.set_level (Some Logs.Warning);
+  Logs.set_reporter
+    {
+      Logs.report =
+        (fun src lvl ~over k msgf ->
+          if lvl = Logs.Warning && String.equal (Logs.Src.name src) "tmedb.dts" then incr count;
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.ikfprintf (fun _ -> over (); k ()) Format.std_formatter fmt));
+    };
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.set_level level)
+    (fun () ->
+      let r = f () in
+      (r, !count))
+
+(* A graph like test_core's mixed-density one: a well-connected core
+   with several records per pair and sparse single records elsewhere,
+   on whole-second instants so that τ-shifted points collide. *)
+let mixed_density ~rng ~tau =
+  let n = 4 + Rng.int rng 7 in
+  let dense = 2 + Rng.int rng 3 in
+  let entries = ref [] in
+  for i = 0 to n - 2 do
+    for j = i + 1 to n - 1 do
+      let k = if i < dense && j < dense then 3 else if Rng.float rng 1. < 0.35 then 1 else 0 in
+      for _ = 1 to k do
+        let lo = Float.round (Rng.float rng 90.) in
+        let hi = Float.min 100. (lo +. 2. +. Float.round (Rng.float rng 20.)) in
+        entries := (i, j, link lo hi (5. +. Rng.float rng 50.)) :: !entries
+      done
+    done
+  done;
+  Tveg.create ~n ~span:(iv 0. 100.) ~tau (List.rev !entries)
+
+let synth_graph ~rng ~tau =
+  let params =
+    { Tmedb_trace.Synth.default_params with Tmedb_trace.Synth.n = 4 + Rng.int rng 6; horizon = 3000. }
+  in
+  Tveg.of_trace ~tau (Tmedb_trace.Synth.generate rng params)
+
+(* Points by bits, arrivals by bits, and the warning count, for every
+   cap (1 and 2 start every node at the cap: each holds both span
+   ends) and τ, with and without a source. *)
+let prop_dts_matches_reference =
+  QCheck.Test.make ~name:"compute = set-based closure, by bits" ~count:25
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let bits a = Array.map Int64.bits_of_float a in
+      List.for_all
+        (fun tau ->
+          let rng = Rng.create seed in
+          let g = if seed mod 2 = 0 then synth_graph ~rng ~tau else mixed_density ~rng ~tau in
+          let span = Tveg.span g in
+          let deadline =
+            span.Interval.lo +. ((0.3 +. Rng.float rng 0.7) *. Interval.length span)
+          in
+          List.for_all
+            (fun (cap_per_node, source) ->
+              let d, w = count_dts_warnings (fun () -> Dts.compute ~cap_per_node ?source g ~deadline) in
+              let points, arrival, w_ref =
+                Reference_dts.compute ~cap_per_node ?source g ~deadline
+              in
+              w = w_ref
+              && Array.length points = Dts.num_nodes d
+              && List.for_all
+                   (fun i ->
+                     bits points.(i) = bits (Dts.node_points d i)
+                     && Int64.equal (Int64.bits_of_float arrival.(i))
+                          (Int64.bits_of_float (Dts.arrival d i)))
+                   (List.init (Dts.num_nodes d) Fun.id))
+            (List.concat_map
+               (fun cap -> [ (cap, None); (cap, Some 0) ])
+               [ 1; 2; 5; 24; 1_000_000 ]))
+        [ 0.; 0.5; 1.; 3. ])
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "tveg"
@@ -1169,6 +1310,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_stream_eager_tau0;
           QCheck_alcotest.to_alcotest prop_stream_eager_tau_positive;
           QCheck_alcotest.to_alcotest prop_stream_eager_source;
+          QCheck_alcotest.to_alcotest prop_dts_matches_reference;
         ] );
       ( "prefix",
         [
